@@ -7,6 +7,11 @@ Commands:
 
 Exit codes: 0 success, 2 parse error, 3 precondition violation,
 4 resource exhaustion (a partial report is still emitted).
+
+Environment: VNUM_MAX_POLYS (basis size cap, default 20000), VNUM_MAX_DEGREE
+(degree cap, 40), VNUM_TIME_BUDGET_SECS (seconds per prime, 300) and
+VNUM_JOBS (worker processes, 1).  Each must be a positive number, an integer
+except for the time budget; any other value exits 2 with an error line.
 """
 
 from __future__ import annotations
@@ -19,7 +24,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 from . import __version__
-from .errors import GraphFormatError, PreconditionError, ResourceLimitError
+from .errors import ConfigError, GraphFormatError, PreconditionError, ResourceLimitError
 from .graphs import enumerate_min_cuts, is_connected, is_minimal_kcut, parse_graph
 from .groebner import Limits
 from .poly import poly_to_text
@@ -47,12 +52,28 @@ class RunConfig:
     jobs: int = 1
 
 
-def limits_from_env(env=os.environ):
-    return Limits(
-        max_polys=int(env.get("VNUM_MAX_POLYS", 20000)),
-        max_degree=int(env.get("VNUM_MAX_DEGREE", 40)),
-        time_budget_secs=float(env.get("VNUM_TIME_BUDGET_SECS", 300.0)),
+def settings_from_env(env=os.environ):
+    """(Limits, jobs) from the VNUM_* variables; ConfigError on a bad value."""
+
+    def positive(name, kind, default):
+        text = env.get(name)
+        if text is None:
+            return default
+        try:
+            value = kind(text)
+        except ValueError:
+            value = 0
+        if not value > 0:  # also rejects nan
+            noun = "integer" if kind is int else "number"
+            raise ConfigError(f"{name} must be a positive {noun}, got {text!r}")
+        return value
+
+    limits = Limits(
+        max_polys=positive("VNUM_MAX_POLYS", int, 20000),
+        max_degree=positive("VNUM_MAX_DEGREE", int, 40),
+        time_budget_secs=positive("VNUM_TIME_BUDGET_SECS", float, 300.0),
     )
+    return limits, positive("VNUM_JOBS", int, 1)
 
 
 def _parse_prime(text, g):
@@ -119,8 +140,10 @@ def _compute_entries(g, config):
                       algebraic=not config.bounds_only)
         return rep.per_prime, rep.global_v, rep.argmin
     cuts = enumerate_min_cuts(g)
-    # one worker per prime; assembly order is the deterministic prime order
-    with ProcessPoolExecutor(max_workers=config.jobs) as pool:
+    # at most one worker per prime and per cpu; assembly order is the
+    # deterministic prime order
+    width = min(config.jobs, len(cuts), os.cpu_count() or 1)
+    with ProcessPoolExecutor(max_workers=width) as pool:
         entries = list(
             pool.map(
                 _single_prime_entry,
@@ -157,8 +180,11 @@ def _single_prime_entry(args):
             status, detail = "resource-limit", str(exc)
     oracle_v = oracle_ok = None
     if oracle and status == "ok" and not bounds_only:
-        oracle_v = oracle_vnumber_at_prime(g, s, limits)
-        oracle_ok = oracle_v == v
+        try:
+            oracle_v = oracle_vnumber_at_prime(g, s, limits)
+            oracle_ok = oracle_v == v
+        except ResourceLimitError as exc:
+            status, detail = "resource-limit", str(exc)
     agree = comb == v if (comb is not None and v is not None) else None
     millis = int((time.monotonic() - t0) * 1000)
     return PrimeResult(s, method, v, witness, window, comb, agree, oracle_v, oracle_ok,
@@ -288,10 +314,9 @@ def main(argv=None, out=None):
     except SystemExit as exc:
         # argparse exits 2 on bad usage, matching our parse-error code
         return int(exc.code or 0)
-    limits = limits_from_env()
-    jobs = int(os.environ.get("VNUM_JOBS", 1))
-    config = RunConfig(command=ns.command, limits=limits, jobs=jobs)
     try:
+        limits, jobs = settings_from_env()
+        config = RunConfig(command=ns.command, limits=limits, jobs=jobs)
         if ns.command == "compute":
             config.graph_path = ns.graph_file
             config.prime = ns.prime if ns.prime else "all"
@@ -308,7 +333,7 @@ def main(argv=None, out=None):
         config.graph_path = ns.graph_file
         config.sigma_path = ns.sigma
         return cmd_gb(config, out)
-    except (GraphFormatError, FileNotFoundError) as exc:
+    except (GraphFormatError, ConfigError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     except PreconditionError as exc:

@@ -30,6 +30,7 @@ from .graphs import (
 from .groebner import (
     DEFAULT_LIMITS,
     GroebnerBasis,
+    ReducerTable,
     buchberger,
     is_groebner_basis,
     normal_form,
@@ -180,7 +181,8 @@ def check_colon_equals_prime(g, f, s, limits=DEFAULT_LIMITS):
     colon = colon_poly(edge_ideal_gens(g), f, order, limits)
     target = prime_component(g, s)
     target_gb = target.groebner(order)
-    if not all(normal_form(p, colon, order).is_zero for p in target.gens):
+    colon_table = ReducerTable(order, colon)
+    if not all(normal_form(p, colon_table).is_zero for p in target.gens):
         return False
     return all(normal_form(c, target_gb).is_zero for c in colon)
 

@@ -9,6 +9,10 @@ class GraphFormatError(VnumError):
     """Malformed graph or permutation input."""
 
 
+class ConfigError(VnumError):
+    """A VNUM_* environment variable holds a value outside its domain."""
+
+
 class PreconditionError(VnumError):
     """An operation was called outside its documented domain."""
 

@@ -1,20 +1,32 @@
 """Buchberger engine over the rationals with lex orders and resource caps.
 
-Pair selection uses the normal strategy (smallest lcm first); the pair set
-is maintained with the Gebauer-Moeller criteria, so the engine never
-computes an S-polynomial it can prove redundant.  All output bases are
-reduced (monic, tail-reduced, pairwise non-dividing leading terms), which
-makes them unique for their ideal and order, hence deterministic.
+Pair selection uses the normal strategy (smallest lcm first, ties broken by
+the lex key of the lcm and then by the pair's indices).  The pairs wait in
+a heap whose entries carry that key, computed once when the pair is made;
+pairs pruned later are dropped lazily when they surface.  The pair set is
+maintained with the Gebauer-Moeller criteria, so the engine never computes
+an S-polynomial it can prove redundant.
 
-Exceeding a configured cap raises ResourceLimitError; the engine never
-returns a partial basis.
+Division runs against a ReducerTable: the basis as (lm, lc, terms) entries
+in ascending order of leading monomial, the first entry whose leading
+monomial divides the current term being the reducer.  Buchberger grows one
+table as the basis grows, and every GroebnerBasis caches its own, so
+repeated normal forms modulo one basis share a single table.
+
+All output bases are reduced (monic, tail-reduced, pairwise non-dividing
+leading terms), which makes them unique for their ideal and order, hence
+deterministic.  Exceeding a configured cap raises ResourceLimitError; the
+engine never returns a partial basis.
 """
 
 from __future__ import annotations
 
+import heapq
 import time
+from bisect import bisect_right
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from functools import cached_property
 
 from .errors import PreconditionError, ResourceLimitError
 from .poly import (
@@ -50,6 +62,11 @@ class Limits:
 DEFAULT_LIMITS = Limits()
 
 
+def contains_unit(polys):
+    """True when a nonzero constant is among polys, so they generate (1)."""
+    return any(not g.is_zero and g.is_constant() for g in polys)
+
+
 @dataclass(frozen=True)
 class GroebnerBasis:
     generators: tuple
@@ -58,7 +75,12 @@ class GroebnerBasis:
 
     @property
     def contains_one(self):
-        return any(not g.is_zero and g.is_constant() for g in self.generators)
+        return contains_unit(self.generators)
+
+    @cached_property
+    def reducers(self):
+        """The division table of the generators, built on first use."""
+        return ReducerTable(self.order, self.generators)
 
     def normal_form(self, f):
         return normal_form(f, self)
@@ -70,30 +92,38 @@ class GroebnerBasis:
         return len(self.generators)
 
 
-def _is_unit_basis(gens):
-    return any(not g.is_zero and g.is_constant() for g in gens)
+def _unit_basis(order):
+    return GroebnerBasis((Polynomial.constant(order.width, 1),), order, reduced=True)
 
 
 # ---------------------------------------------------------------------------
 # division
 # ---------------------------------------------------------------------------
 
-def _prepared(basis, order):
-    """[(lm, lc, terms)] sorted by ascending leading monomial."""
-    if isinstance(basis, GroebnerBasis):
-        if not basis.order.same_as(order):
-            raise PreconditionError("basis order does not match requested order")
-        polys = basis.generators
-    else:
-        polys = basis
-    prep = []
-    for g in polys:
+class ReducerTable:
+    """Divisors (lm, lc, terms) of nonzero polynomials, ascending by lm.
+
+    Polynomials with equal leading monomials keep their insertion order,
+    so the table equals a stable sort of the polynomials by leading term.
+    """
+
+    __slots__ = ("order", "entries", "_keys")
+
+    def __init__(self, order, polys=()):
+        self.order = order
+        self.entries = []
+        self._keys = []
+        for g in polys:
+            self.add(g)
+
+    def add(self, g):
         if g.is_zero:
-            continue
-        lm = g.leading_monomial(order)
-        prep.append((lm, g.terms[lm], g.terms))
-    prep.sort(key=lambda t: order.key(t[0]))
-    return prep
+            return
+        lm = g.leading_monomial(self.order)
+        key = self.order.key(lm)
+        at = bisect_right(self._keys, key)
+        self._keys.insert(at, key)
+        self.entries.insert(at, (lm, g.terms[lm], g.terms))
 
 
 def _nf_terms(terms, prep, okey):
@@ -124,13 +154,22 @@ def _nf_terms(terms, prep, okey):
 
 def normal_form(f, basis, order=None):
     """Full division remainder of f modulo a basis (zero iff f in the ideal,
-    when the basis is a Groebner basis for the order)."""
-    if isinstance(basis, GroebnerBasis) and order is None:
-        order = basis.order
-    if order is None:
+    when the basis is a Groebner basis for the order).
+
+    basis is a GroebnerBasis (its cached table is used), a ReducerTable, or
+    a plain list of polynomials, which then needs the order.
+    """
+    if isinstance(basis, (GroebnerBasis, ReducerTable)):
+        if order is None:
+            order = basis.order
+        elif not basis.order.same_as(order):
+            raise PreconditionError("basis order does not match requested order")
+        table = basis.reducers if isinstance(basis, GroebnerBasis) else basis
+    elif order is None:
         raise PreconditionError("order required when basis is a plain list")
-    prep = _prepared(basis, order)
-    return Polynomial(f.width, _nf_terms(f.terms, prep, order.key))
+    else:
+        table = ReducerTable(order, basis)
+    return Polynomial(f.width, _nf_terms(f.terms, table.entries, order.key))
 
 
 def s_polynomial(f, g, order):
@@ -149,45 +188,37 @@ def s_polynomial(f, g, order):
 # Buchberger with Gebauer-Moeller pair pruning
 # ---------------------------------------------------------------------------
 
-def _gm_update(G, lms, pairs, t, order):
-    """Add index t to the pair set, applying the Gebauer-Moeller criteria."""
+def _gm_update(lms, live, t):
+    """Pairs (i, t) that survive the Gebauer-Moeller criteria, each with its
+    lcm; prunes the live pairs {(i, j): lcm} in place by criterion B."""
     lmt = lms[t]
-    lcms = {i: mono_lcm(lms[i], lmt) for i in range(t)}
+    lcms = [mono_lcm(lms[i], lmt) for i in range(t)]
 
-    # criterion M: drop (i,t) when another new pair has a strictly smaller lcm
-    survivors = []
-    for i in range(t):
-        li = lcms[i]
-        dominated = False
-        for j in range(t):
-            if j == i:
-                continue
-            lj = lcms[j]
-            if lj != li and mono_divides(lj, li):
-                dominated = True
-                break
-        if not dominated:
-            survivors.append(i)
-
-    # criterion F: one pair per lcm value; drop the class when a coprime pair exists
+    # pairs sharing an lcm share the verdicts of criteria M and F
     by_lcm = {}
-    for i in survivors:
-        by_lcm.setdefault(lcms[i], []).append(i)
-    new_pairs = set()
-    for l, idxs in by_lcm.items():
+    for i, l in enumerate(lcms):
+        by_lcm.setdefault(l, []).append(i)
+
+    new_pairs = {}
+    minimal = []  # (degree, lcm) of the new lcms no other one strictly divides
+    for d, l in sorted((mono_degree(l), l) for l in by_lcm):
+        # criterion M: another new lcm strictly divides l.  A strict divisor
+        # has smaller degree, so it came before l, and when it is not
+        # minimal a minimal one of smaller degree divides it, and l too.
+        if any(mono_divides(lo, l) for dlo, lo in minimal if dlo < d):
+            continue
+        minimal.append((d, l))
+        # criterion F: one pair per lcm; drop the class when a coprime pair exists
+        idxs = by_lcm[l]
         if any(mono_coprime(lms[i], lmt) for i in idxs):
             continue
-        new_pairs.add((min(idxs), t))
+        new_pairs[(idxs[0], t)] = l
 
     # criterion B: prune old pairs strictly refined by the new leading term
-    keep = set()
-    for (i, j) in pairs:
-        lij = mono_lcm(lms[i], lms[j])
-        if mono_divides(lmt, lij) and lcms[i] != lij and lcms[j] != lij:
-            continue
-        keep.add((i, j))
-    keep |= new_pairs
-    return keep
+    for (i, j), lij in list(live.items()):
+        if lcms[i] != lij and lcms[j] != lij and mono_divides(lmt, lij):
+            del live[(i, j)]
+    return new_pairs
 
 
 def buchberger(gens, order, limits=DEFAULT_LIMITS):
@@ -201,12 +232,14 @@ def buchberger(gens, order, limits=DEFAULT_LIMITS):
         if g.width != order.width:
             raise PreconditionError("generator width does not match order")
     start = sorted(set(g.monic(order) for g in start), key=lambda p: p.sort_key(order))
-    if _is_unit_basis(start):
-        return GroebnerBasis((Polynomial.constant(order.width, 1),), order, reduced=True)
+    if contains_unit(start):
+        return _unit_basis(order)
 
     G = []
     lms = []
-    pairs = set()
+    table = ReducerTable(order)
+    live = {}  # pair -> lcm, for every pair not yet processed or pruned
+    queue = []  # (deg lcm, lex key of lcm, pair); stale entries are skipped
 
     def push(h):
         limits.check_time()
@@ -217,32 +250,28 @@ def buchberger(gens, order, limits=DEFAULT_LIMITS):
         t = len(G)
         G.append(h)
         lms.append(h.leading_monomial(order))
-        return _gm_update(G, lms, pairs, t, order)
+        table.add(h)
+        for pair, l in _gm_update(lms, live, t).items():
+            live[pair] = l
+            heapq.heappush(queue, (mono_degree(l), order.key(l), pair))
 
     for g in start:
-        pairs = push(g)
+        push(g)
 
-    okey = order.key
-    while pairs:
-        i, j = min(
-            pairs,
-            key=lambda ij: (
-                mono_degree(mono_lcm(lms[ij[0]], lms[ij[1]])),
-                okey(mono_lcm(lms[ij[0]], lms[ij[1]])),
-                ij,
-            ),
-        )
-        pairs.discard((i, j))
+    while queue:
+        i, j = heapq.heappop(queue)[2]
+        if live.pop((i, j), None) is None:
+            continue
         if mono_coprime(lms[i], lms[j]):
             continue
         limits.check_time()
         s = s_polynomial(G[i], G[j], order)
-        h = normal_form(s, G, order)
+        h = normal_form(s, table, order)
         if h.is_zero:
             continue
         if h.is_constant():
-            return GroebnerBasis((Polynomial.constant(order.width, 1),), order, reduced=True)
-        pairs = push(h.monic(order))
+            return _unit_basis(order)
+        push(h.monic(order))
 
     return GroebnerBasis(tuple(reduce_basis(G, order)), order, reduced=True)
 
@@ -250,7 +279,7 @@ def buchberger(gens, order, limits=DEFAULT_LIMITS):
 def reduce_basis(polys, order):
     """Turn a Groebner basis into the reduced one: minimal, monic, tail-reduced."""
     nonzero = [p.monic(order) for p in polys if not p.is_zero]
-    if _is_unit_basis(nonzero):
+    if contains_unit(nonzero):
         return [Polynomial.constant(order.width, 1)]
     nonzero.sort(key=lambda p: order.key(p.leading_monomial(order)))
     minimal = []
@@ -261,12 +290,15 @@ def reduce_basis(polys, order):
             continue
         minimal.append(p)
         min_lms.append(lm)
+    # No other leading term divides lm(p), and lm(p) divides no term below
+    # it, so p reduces modulo the others as lm(p) plus its tail reduced
+    # modulo the whole table.
+    table = ReducerTable(order, minimal)
     out = []
-    for idx, p in enumerate(minimal):
-        others = minimal[:idx] + minimal[idx + 1:]
-        r = normal_form(p, others, order)
-        assert not r.is_zero, "basis element reduced to zero during tail reduction"
-        out.append(r.monic(order))
+    for p, lm in zip(minimal, min_lms):
+        tail = Polynomial(p.width, {m: c for m, c in p.terms.items() if m != lm})
+        r = normal_form(tail, table, order)
+        out.append(Polynomial(p.width, {lm: 1, **r.terms}))
     out.sort(key=lambda p: order.key(p.leading_monomial(order)))
     return out
 
@@ -281,12 +313,13 @@ def is_groebner_basis(polys, order, skip_coprime=True, limits=DEFAULT_LIMITS):
     """
     ps = [p for p in polys if not p.is_zero]
     lms = [p.leading_monomial(order) for p in ps]
+    table = ReducerTable(order, ps)
     for i in range(len(ps)):
         for j in range(i + 1, len(ps)):
             if skip_coprime and mono_coprime(lms[i], lms[j]):
                 continue
             limits.check_time()
             s = s_polynomial(ps[i], ps[j], order)
-            if not normal_form(s, ps, order).is_zero:
+            if not normal_form(s, table, order).is_zero:
                 return False
     return True

@@ -8,7 +8,14 @@ import sys
 
 import pytest
 
-from vnum.cli import EXIT_OK, EXIT_PARSE, EXIT_PRECONDITION, limits_from_env, main
+from vnum.cli import (
+    EXIT_OK,
+    EXIT_PARSE,
+    EXIT_PRECONDITION,
+    EXIT_RESOURCE,
+    main,
+    settings_from_env,
+)
 
 
 @pytest.fixture
@@ -166,8 +173,74 @@ def test_limits_from_env(monkeypatch):
     monkeypatch.setenv("VNUM_MAX_POLYS", "123")
     monkeypatch.setenv("VNUM_MAX_DEGREE", "7")
     monkeypatch.setenv("VNUM_TIME_BUDGET_SECS", "1.5")
-    limits = limits_from_env()
+    monkeypatch.delenv("VNUM_JOBS", raising=False)
+    limits, jobs = settings_from_env()
     assert (limits.max_polys, limits.max_degree, limits.time_budget_secs) == (123, 7, 1.5)
+    assert jobs == 1
+
+
+@pytest.mark.parametrize("name, value", [
+    ("VNUM_JOBS", "x"),
+    ("VNUM_JOBS", "0"),
+    ("VNUM_TIME_BUDGET_SECS", "abc"),
+    ("VNUM_TIME_BUDGET_SECS", "nan"),
+    ("VNUM_MAX_POLYS", "-3"),
+    ("VNUM_MAX_DEGREE", "2.5"),
+])
+def test_bad_env_value_exits_cleanly(p4_file, monkeypatch, capsys, name, value):
+    monkeypatch.setenv(name, value)
+    code, text = run_main(["compute", p4_file, "--bounds-only"])
+    assert code == EXIT_PARSE
+    assert text == ""
+    assert capsys.readouterr().err.startswith(f"error: {name} must be a positive ")
+
+
+def test_oracle_limit_keeps_the_report(tmp_path, monkeypatch):
+    import vnum.edgeideals
+    from vnum.errors import ResourceLimitError
+
+    def out_of_time(*a, **k):
+        raise ResourceLimitError("time budget exceeded")
+
+    monkeypatch.setattr(vnum.edgeideals, "oracle_vnumber_at_prime", out_of_time)
+    c5 = tmp_path / "c5.txt"
+    c5.write_text("n 5\n1 2\n2 3\n3 4\n4 5\n1 5\n")
+    code, text = run_main(["compute", str(c5), "--prime", "1,3", "--oracle", "--json"])
+    assert code == EXIT_RESOURCE
+    (entry,) = json.loads(text)["primes"]
+    assert entry["s"] == [1, 3]
+    assert entry["v"] is not None and entry["oracle_ok"] is None
+
+
+def test_pool_width_is_bounded(c4_file, monkeypatch):
+    import vnum.cli
+
+    widths = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            widths.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(vnum.cli, "ProcessPoolExecutor", SerialPool)
+    _, serial = run_main(["compute", c4_file, "--json"])
+    monkeypatch.setenv("VNUM_JOBS", "100000")
+    for cpus, width in [(64, 3), (2, 2), (None, 1)]:  # C_4 has 3 primes
+        monkeypatch.setattr(vnum.cli.os, "cpu_count", lambda: cpus)
+        code, pooled = run_main(["compute", c4_file, "--json"])
+        assert code == EXIT_OK
+        assert widths[-1] == width
+        strip = [{k: v for k, v in p.items() if k != "millis"}
+                 for text in (serial, pooled) for p in json.loads(text)["primes"]]
+        assert strip[:3] == strip[3:]
 
 
 def test_parallel_width_matches_serial(c4_file):

@@ -11,6 +11,7 @@ from vnum.errors import PreconditionError, ResourceLimitError
 from vnum.graphs import complete_graph, path_graph
 from vnum.groebner import (
     Limits,
+    ReducerTable,
     buchberger,
     is_groebner_basis,
     normal_form,
@@ -33,6 +34,7 @@ from vnum.poly import (
     Polynomial,
     edge_binomial,
     one_poly,
+    poly_from_text,
     poly_to_text,
     x_poly,
     y_poly,
@@ -100,6 +102,33 @@ def test_buchberger_c4_matches_admissible_paths():
     path_basis = admissible_path_basis(g)
     assert set(gb.generators) == set(path_basis.generators)
     assert len(gb.generators) == 6
+
+
+def test_buchberger_pins_admissible_path_bases(small_connected_graphs):
+    # the HHHKR closed form fixes the reduced basis, and both sides list it
+    # by ascending leading term, so the engine must match it element by element
+    for g in small_connected_graphs:
+        n = g.n
+        for sigma in (None, tuple(range(n, 0, -1)), tuple(range(2, n + 1)) + (1,)):
+            gb = buchberger(edge_ideal_gens(g), MonomialOrder(n, sigma))
+            expected = admissible_path_basis(g, sigma).generators
+            assert gb.generators == expected, (sorted(g.edges), sigma)
+
+
+def test_reducer_table_is_a_stable_sort_by_leading_term():
+    n = 3
+    order = MonomialOrder(n)
+    texts = ["x2*y3 - x3*y2", "x1*y2 - x2*y1", "x1*y3", "x1*y2 + y3^2", "y1", "x1*y2"]
+    polys = [poly_from_text(t, n) for t in texts]
+    table = ReducerTable(order)
+    for p in polys:
+        table.add(p)
+    table.add(Polynomial.zero(2 * n))
+    expected = sorted(polys, key=lambda p: order.key(p.leading_monomial(order)))
+    assert [terms for _, _, terms in table.entries] == [p.terms for p in expected]
+    assert [lm for lm, _, _ in ReducerTable(order, polys).entries] == [
+        p.leading_monomial(order) for p in expected
+    ]
 
 
 def test_buchberger_monomial_ideal():
