@@ -28,7 +28,8 @@ from .errors import ConfigError, GraphFormatError, PreconditionError, ResourceLi
 from .graphs import enumerate_min_cuts, is_connected, is_minimal_kcut, parse_graph
 from .groebner import Limits
 from .poly import poly_to_text
-from .edgeideals import admissible_path_basis, vnumber, vnumber_at_prime
+from .matroids import cut_dependents
+from .edgeideals import admissible_path_basis, global_minimum, vnumber, vnumber_at_prime
 from .cycles import cycle_graph, global_bounds, verify_cycle
 
 EXIT_OK = 0
@@ -150,10 +151,7 @@ def _compute_entries(g, config):
                 [(g, rec.s, config.limits, config.oracle, config.bounds_only) for rec in cuts],
             )
         )
-    known = [e for e in entries if e.v is not None]
-    global_v = min((e.v for e in known), default=None)
-    argmin = next((e.s for e in known if e.v == global_v), None)
-    return entries, global_v, argmin
+    return (entries, *global_minimum(entries))
 
 
 def _single_prime_entry(args):
@@ -161,12 +159,13 @@ def _single_prime_entry(args):
     import time
 
     from .edgeideals import PrimeResult, _combinatorial_value, _window, oracle_vnumber_at_prime
-    from .graphs import enumerate_min_cuts as _cuts
 
-    rec = next(r for r in _cuts(g) if r.s == s)
+    cuts = enumerate_min_cuts(g)
+    rec = next(r for r in cuts if r.s == s)
+    dependents = cut_dependents(g, cuts)
     t0 = time.monotonic()
     comb = _combinatorial_value(g, rec)
-    window = _window(g, rec, comb)
+    window = _window(g, rec, comb, dependents)
     v = witness = None
     status, detail = "ok", ""
     if bounds_only:

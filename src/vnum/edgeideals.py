@@ -15,16 +15,15 @@ from __future__ import annotations
 
 import itertools
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .errors import PreconditionError, ResourceLimitError
 from .graphs import (
     Graph,
-    connected_components,
+    components_within,
     enumerate_min_cuts,
     gamma_c,
     gamma_c_pair,
-    induced_subgraph,
     is_minimal_kcut,
 )
 from .groebner import (
@@ -36,7 +35,7 @@ from .groebner import (
     normal_form,
 )
 from .idealops import as_basis, colon_ideal, colon_poly, min_new_degree_candidates
-from .matroids import delta_family, min_transversal_weight
+from .matroids import cut_dependents, delta_family, min_transversal_weight
 from .poly import (
     MonomialOrder,
     Polynomial,
@@ -81,7 +80,7 @@ def prime_component(g, s):
     for i in sorted(s):
         gens.append(x_poly(i, g.n))
         gens.append(y_poly(i, g.n))
-    for comp in connected_components(induced_subgraph(g, g.vertices - s)):
+    for comp in components_within(g, g.vertices - s):
         for a, b in itertools.combinations(sorted(comp), 2):
             gens.append(edge_binomial(a, b, g.n))
     return PrimeComponent(g.n, s, tuple(gens))
@@ -187,7 +186,17 @@ def check_colon_equals_prime(g, f, s, limits=DEFAULT_LIMITS):
     return all(normal_form(c, target_gb).is_zero for c in colon)
 
 
-def vnumber_at_prime(g, s, limits=DEFAULT_LIMITS, _cache=None):
+@dataclass
+class _GraphWork:
+    """What the primes of one graph share within one report: the basis of
+    J_G, built under the clock of the first prime that needs it (a prime
+    that hits a limit leaves it for the next), and the colons (J_G : f)."""
+
+    jg: GroebnerBasis | None = None
+    colons: dict = field(default_factory=dict)
+
+
+def vnumber_at_prime(g, s, limits=DEFAULT_LIMITS, _work=None):
     """Localized v-number at P_S with a certified witness.
 
     Computes (J_G : P_S), takes the least degree of a reduced-basis element
@@ -200,9 +209,12 @@ def vnumber_at_prime(g, s, limits=DEFAULT_LIMITS, _cache=None):
     if s == frozenset() and g.is_complete():
         return 0, one_poly(g.n)
     order = MonomialOrder(g.n)
-    jg = buchberger(edge_ideal_gens(g), order, limits)
+    work = _GraphWork() if _work is None else _work
+    if work.jg is None:
+        work.jg = buchberger(edge_ideal_gens(g), order, limits)
+    jg = work.jg
     pc = prime_component(g, s)
-    quot = colon_ideal(jg, list(pc.gens), order, limits, poly_colon_cache=_cache)
+    quot = colon_ideal(jg, list(pc.gens), order, limits, poly_colon_cache=work.colons)
     _, cands = min_new_degree_candidates(quot, jg, order, limits)
     for w in cands:
         if check_colon_equals_prime(g, w, s, limits):
@@ -294,11 +306,21 @@ def _combinatorial_value(g, rec):
     return None
 
 
-def _window(g, rec, comb):
+def _window(g, rec, comb, dependents):
+    """(lo, hi) for one prime; dependents is cut_dependents of the report's
+    cut enumeration."""
     if comb is not None:
         return (comb, comb)
-    weight, _ = min_transversal_weight(delta_family(g, rec.s))
+    weight, _ = min_transversal_weight(delta_family(g, rec.s, dependents))
     return (0, weight)
+
+
+def global_minimum(entries):
+    """(least v, first prime attaining it) over the entries with a value."""
+    known = [e for e in entries if e.v is not None]
+    global_v = min((e.v for e in known), default=None)
+    argmin = next((e.s for e in known if e.v == global_v), None)
+    return global_v, argmin
 
 
 def vnumber(g, limits=DEFAULT_LIMITS, with_oracle=False, algebraic=True):
@@ -310,18 +332,19 @@ def vnumber(g, limits=DEFAULT_LIMITS, with_oracle=False, algebraic=True):
     agreement.  Resource errors are captured per prime.
     """
     cuts = enumerate_min_cuts(g)
-    cache = {}
+    dependents = cut_dependents(g, cuts)
+    work = _GraphWork()
     entries = []
     for rec in cuts:
         t0 = time.monotonic()
         comb = _combinatorial_value(g, rec)
-        window = _window(g, rec, comb)
+        window = _window(g, rec, comb, dependents)
         v = witness = None
         status, detail = "ok", ""
         method = "algebraic" if algebraic else "combinatorial"
         if algebraic:
             try:
-                v, witness = vnumber_at_prime(g, rec.s, limits, _cache=cache)
+                v, witness = vnumber_at_prime(g, rec.s, limits, _work=work)
             except ResourceLimitError as exc:
                 status, detail = "resource-limit", str(exc)
         else:
@@ -353,7 +376,4 @@ def vnumber(g, limits=DEFAULT_LIMITS, with_oracle=False, algebraic=True):
                 detail=detail,
             )
         )
-    known = [e for e in entries if e.v is not None]
-    global_v = min((e.v for e in known), default=None)
-    argmin = next((e.s for e in known if e.v == global_v), None)
-    return VNumberReport(g, entries, global_v, argmin)
+    return VNumberReport(g, entries, *global_minimum(entries))

@@ -1,8 +1,17 @@
 """Simple graphs on 1..n: cuts, components, and connected domination.
 
-Everything here is exhaustive search at desk scale (n up to roughly 12);
-correctness over speed.  Induced subgraphs keep their original vertex
-labels, so a Graph carries an explicit vertex set alongside the ambient n.
+Everything here is exhaustive search at desk scale (n up to roughly 12).
+Induced subgraphs keep their original vertex labels, so a Graph carries an
+explicit vertex set alongside the ambient n.  Components of an induced
+subgraph are read off the parent's adjacency restricted to the vertex set,
+without building the subgraph.
+
+A nonempty S is a minimal cut when G - S has c >= 2 components and every
+i in S is a cut point of G[(V - S) + i].  That is tested in one pass over
+the components of G - S: adding i back merges the a components it has
+neighbours in into one, so G[(V - S) + i] has c - a + 1 components (c + 1
+when a = 0), and c - a + 1 < c holds exactly when a >= 2.  So i is a cut
+point iff it has neighbours in at least two components of G - S.
 """
 
 from __future__ import annotations
@@ -86,26 +95,34 @@ def induced_subgraph(g, w):
     return Graph(g.n, edges, w)
 
 
-def connected_components(g):
-    """Maximal connected pieces, sorted by least vertex."""
+def components_within(g, w):
+    """Components of the subgraph induced on w, sorted by least vertex; the
+    subgraph itself is never built."""
+    w = frozenset(w)
+    if not w <= g.vertices:
+        raise PreconditionError(f"{sorted(w - g.vertices)} not vertices of the graph")
+    adj = _adjacency(g)
     seen = set()
     comps = []
-    adj = _adjacency(g)
-    for start in sorted(g.vertices):
+    for start in sorted(w):
         if start in seen:
             continue
         stack = [start]
-        comp = {start}
         seen.add(start)
+        comp = [start]
         while stack:
-            v = stack.pop()
-            for u in adj[v]:
-                if u not in comp:
-                    comp.add(u)
+            for u in adj[stack.pop()]:
+                if u in w and u not in seen:
                     seen.add(u)
+                    comp.append(u)
                     stack.append(u)
         comps.append(frozenset(comp))
     return comps
+
+
+def connected_components(g):
+    """Maximal connected pieces, sorted by least vertex."""
+    return components_within(g, g.vertices)
 
 
 def is_connected(g):
@@ -117,13 +134,12 @@ def _require_connected(g):
         raise PreconditionError("graph must be connected")
 
 
-def is_cut_point(g, i):
-    """i is a cut point of g when deleting it increases the component count."""
-    if i not in g.vertices:
-        raise PreconditionError(f"{i} is not a vertex")
-    before = len(connected_components(g))
-    after = len(connected_components(induced_subgraph(g, g.vertices - {i})))
-    return before < after
+def _every_vertex_splits(g, s, comps):
+    """Each vertex of s has neighbours in at least two of comps, the
+    components of g - s (the one-pass cut test of the module docstring)."""
+    adj = _adjacency(g)
+    where = {v: idx for idx, comp in enumerate(comps) for v in comp}
+    return all(len({where[u] for u in adj[i] if u in where}) >= 2 for i in s)
 
 
 def is_minimal_kcut(g, s):
@@ -135,15 +151,9 @@ def is_minimal_kcut(g, s):
         raise PreconditionError("cut must be a nonempty proper vertex subset")
     if not s <= g.vertices:
         raise PreconditionError("cut contains non-vertices")
-    rest = g.vertices - s
-    comps = connected_components(induced_subgraph(g, rest))
+    comps = components_within(g, g.vertices - s)
     k = len(comps)
-    if k < 2:
-        return False, k
-    for i in s:
-        if not is_cut_point(induced_subgraph(g, rest | {i}), i):
-            return False, k
-    return True, k
+    return k >= 2 and _every_vertex_splits(g, s, comps), k
 
 
 @dataclass(frozen=True)
@@ -163,13 +173,9 @@ def enumerate_min_cuts(g):
     for size in range(1, len(verts)):
         for combo in itertools.combinations(verts, size):
             s = frozenset(combo)
-            rest = g.vertices - s
-            comps = connected_components(induced_subgraph(g, rest))
-            if len(comps) < 2:
-                continue
-            ok, k = is_minimal_kcut(g, s)
-            if ok:
-                records.append(CutRecord(s, k, tuple(comps)))
+            comps = components_within(g, g.vertices - s)
+            if len(comps) >= 2 and _every_vertex_splits(g, s, comps):
+                records.append(CutRecord(s, len(comps), tuple(comps)))
     records.sort(key=lambda r: tuple(sorted(r.s)))
     return records
 
@@ -181,7 +187,7 @@ def is_connected_dominating(g, b):
         raise PreconditionError("connected dominating sets are nonempty")
     if not b <= g.vertices:
         raise PreconditionError("set contains non-vertices")
-    if not is_connected(induced_subgraph(g, b)):
+    if len(components_within(g, b)) > 1:
         return False
     adj = _adjacency(g)
     return all(adj[v] & b for v in g.vertices - b)
@@ -221,7 +227,7 @@ def gamma_c_pair(g, s):
     ok, k = is_minimal_kcut(g, s)
     if not ok or k != 2:
         raise PreconditionError(f"{sorted(s)} is not a minimal 2-cut")
-    v1, v2 = connected_components(induced_subgraph(g, g.vertices - s))
+    v1, v2 = components_within(g, g.vertices - s)
     n1, w1 = _side_domination(g, v1, s)
     n2, w2 = _side_domination(g, v2, s)
     return n1 + n2, w1 | w2

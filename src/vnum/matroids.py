@@ -15,7 +15,8 @@ from dataclasses import dataclass
 
 from .errors import NoTransversalError, PreconditionError
 from .graphs import (
-    connected_components,
+    components_within,
+    enumerate_min_cuts,
     induced_subgraph,
     is_connected_dominating,
     is_minimal_kcut,
@@ -72,8 +73,7 @@ def _require_in_min(g, s):
 def matroid_of_cut(g, s):
     """Matroid with loops s and the components of g minus s as classes."""
     s = _require_in_min(g, s)
-    comps = connected_components(induced_subgraph(g, g.vertices - s))
-    return RankTwoMatroid(g.n, s, tuple(comps))
+    return RankTwoMatroid(g.n, s, tuple(components_within(g, g.vertices - s)))
 
 
 def small_dependent_diff(m1, m2):
@@ -122,20 +122,44 @@ def _split(elements):
     return Transversal(singles, pairs)
 
 
-def delta_family(g, s):
-    """One member per other minimal prime: D(M(S')) minus D(M(S))."""
-    from .graphs import enumerate_min_cuts
+def cut_dependents(g, cuts):
+    """{S: D(M(S))} for the cut records of one enumeration of g, in their
+    order: the singletons and pairs dependent in the matroid of each cut,
+    listed straight from its loops and parallel classes."""
+    out = {}
+    for rec in cuts:
+        deps = {frozenset({i}) for i in rec.s}
+        deps.update(frozenset({i, j}) for i in rec.s for j in g.vertices if j != i)
+        for comp in rec.components:
+            deps.update(frozenset(e) for e in itertools.combinations(comp, 2))
+        out[rec.s] = frozenset(deps)
+    return out
 
-    s = _require_in_min(g, s)
-    base = matroid_of_cut(g, s)
+
+def delta_family(g, s, dependents=None):
+    """One member per other minimal prime: D(M(S')) minus D(M(S)).
+
+    A set of at most two elements is dependent in M(S) exactly when it lies
+    in D(M(S)), so the member for S' is the set difference
+    D(M(S')) - D(M(S)), which equals
+    small_dependent_diff(matroid_of_cut(g, S'), matroid_of_cut(g, S)).
+    dependents is cut_dependents of one enumeration of g, so a report that
+    needs the family of every prime computes each D once; without it the
+    cuts are enumerated here.  An s outside the enumeration raises
+    PreconditionError.
+    """
+    s = frozenset(s)
+    if dependents is None:
+        dependents = cut_dependents(g, enumerate_min_cuts(g))
+    base = dependents.get(s)
+    if base is None:
+        raise PreconditionError(f"{sorted(s)} is not the empty set or a minimal k-cut")
     members = []
     sources = []
-    for rec in enumerate_min_cuts(g):
-        if rec.s == s:
-            continue
-        other = matroid_of_cut(g, rec.s)
-        members.append(small_dependent_diff(other, base))
-        sources.append(rec.s)
+    for other, deps in dependents.items():
+        if other != s:
+            members.append(deps - base)
+            sources.append(other)
     return TransversalFamily(g.n, tuple(members), tuple(sources))
 
 
@@ -158,32 +182,36 @@ def min_transversal_weight(family):
 
     universe = sorted(set().union(*members), key=_element_key)
     coverage = {e: sum(1 for m in members if e in m) for e in universe}
-    best = [sum(_weight(e) for e in universe) + 1, None]
+    # each member with its elements in branching order; the first unhit
+    # member is always the one to branch on, since members are sorted
+    branches = [
+        (m, sorted(m, key=lambda e: (-coverage[e], _element_key(e)))) for m in members
+    ]
+    best = [sum(_weight(e) for e in universe) + 1, None, None]  # weight, set, key
 
     def lower_bound(unhit):
         # pairwise-disjoint unhit members must be hit by distinct elements
         used = set()
         lb = 0
-        for m in unhit:
+        for m, _ in unhit:
             if not (m & used):
                 lb += 1
                 used |= m
         return lb
 
-    def search(chosen, weight):
-        unhit = [m for m in members if not (m & chosen)]
+    def search(unhit, chosen, weight):
         if not unhit:
-            key = _set_key(chosen)
-            if weight < best[0] or (weight == best[0] and key < _set_key(best[1])):
-                best[0], best[1] = weight, frozenset(chosen)
+            if weight <= best[0]:
+                key = _set_key(chosen)
+                if weight < best[0] or key < best[2]:
+                    best[:] = [weight, chosen, key]
             return
         if weight + lower_bound(unhit) > best[0]:
             return
-        branch = min(unhit, key=lambda m: (len(m), _set_key(m)))
-        for e in sorted(branch, key=lambda e: (-coverage[e], _element_key(e))):
-            search(chosen | {e}, weight + _weight(e))
+        for e in unhit[0][1]:
+            search([b for b in unhit if e not in b[0]], chosen | {e}, weight + _weight(e))
 
-    search(frozenset(), 0)
+    search(branches, frozenset(), 0)
     assert best[1] is not None
     return best[0], _split(best[1])
 
@@ -249,7 +277,6 @@ def transversal_ideal_generic(g, s):
     leaves the ideal unchanged.  The empty family (no other minimal primes)
     gives the unit ideal.
     """
-    s = _require_in_min(g, s)
     fam = delta_family(g, s)
     gens = []
     for elements in minimal_transversals(fam):
@@ -267,7 +294,7 @@ def _cut_sides(g, s):
     ok, k = is_minimal_kcut(g, s)
     if not ok or k != 2:
         raise PreconditionError(f"{sorted(s)} is not a minimal 2-cut")
-    v1, v2 = connected_components(induced_subgraph(g, g.vertices - s))
+    v1, v2 = components_within(g, g.vertices - s)
     return v1, v2
 
 

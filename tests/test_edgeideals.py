@@ -281,3 +281,49 @@ def test_saturation_by_bridging_binomial_initial_ideal():
         assert any(mono_divides(m, lm) for m in right_polys)
     for m in right_polys:
         assert any(mono_divides(lm, m) for lm in left)
+
+
+def test_vnumber_builds_the_jg_basis_once(monkeypatch):
+    """The primes of one report share one basis of J_G; a prime whose build
+    hits a limit records it, and the next prime builds the basis again."""
+    import vnum.edgeideals as ei
+    from vnum.errors import ResourceLimitError
+
+    jg_gens = edge_ideal_gens(cycle_graph(5))
+    builds = []
+
+    def counting(gens, order, limits=None):
+        if gens == jg_gens:
+            builds.append(len(builds))
+            if len(builds) == 1:
+                raise ResourceLimitError("first build fails")
+        return buchberger(gens, order, limits)
+
+    monkeypatch.setattr(ei, "buchberger", counting)
+    rep = vnumber(cycle_graph(5))
+    assert len(builds) == 2
+    assert [e.status for e in rep.per_prime] == ["resource-limit"] + ["ok"] * 5
+    clean = vnumber(cycle_graph(5))
+    assert len(builds) == 3  # nothing carries over between reports
+    assert [e.v for e in rep.per_prime[1:]] == [e.v for e in clean.per_prime[1:]]
+
+
+def test_vnumber_enumerates_cuts_once_per_report(monkeypatch):
+    import vnum.edgeideals as ei
+    import vnum.graphs
+    import vnum.matroids as mt
+
+    calls = []
+
+    def counting(g):
+        calls.append(g)
+        return vnum.graphs.enumerate_min_cuts(g)
+
+    monkeypatch.setattr(ei, "enumerate_min_cuts", counting)
+    monkeypatch.setattr(mt, "enumerate_min_cuts", counting)
+    g = cycle_graph(8)
+    first = vnumber(g, algebraic=False)
+    assert len(calls) == 1
+    second = vnumber(cycle_graph(8), algebraic=False)
+    assert len(calls) == 2  # an equal graph is enumerated again
+    assert [e.window for e in first.per_prime] == [e.window for e in second.per_prime]

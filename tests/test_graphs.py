@@ -10,6 +10,7 @@ from vnum.errors import GraphFormatError, PreconditionError
 from vnum.graphs import (
     Graph,
     complete_graph,
+    components_within,
     connected_components,
     enumerate_min_cuts,
     format_graph,
@@ -239,3 +240,52 @@ def test_components_partition_vertices(n, data):
         union |= c
     assert union == set(g.vertices)
     assert comps == sorted(comps, key=min)
+
+
+@st.composite
+def connected_graphs_6_to_9(draw):
+    """A random spanning tree on a random labelling plus random extra edges."""
+    n = draw(st.integers(6, 9))
+    order = draw(st.permutations(range(1, n + 1)))
+    tree = {
+        tuple(sorted((order[i], order[draw(st.integers(0, i - 1))]))) for i in range(1, n)
+    }
+    pairs = [e for e in itertools.combinations(range(1, n + 1), 2) if e not in tree]
+    extra = draw(st.sets(st.sampled_from(pairs), max_size=n + 3))
+    return Graph.make(n, sorted(tree | extra))
+
+
+def cut_point_definition(g, s):
+    """(flag, k) straight from the definition, on networkx: G - S has k >= 2
+    components and each i in S is a cut point of G[(V - S) + i]."""
+    h = to_nx(g)
+    rest = set(g.vertices) - s
+    k = nx.number_connected_components(h.subgraph(rest))
+    if k < 2:
+        return False, k
+    flag = all(nx.number_connected_components(h.subgraph(rest | {i})) < k for i in s)
+    return flag, k
+
+
+@settings(max_examples=25, deadline=None)
+@given(connected_graphs_6_to_9())
+def test_one_pass_cut_test_matches_definition(g):
+    """The one-pass cut test against networkx on 6-9 vertices: the whole
+    enumeration, and the verdict on every nonempty proper subset."""
+    assert [r.s for r in enumerate_min_cuts(g)] == brute_min_cuts(g), sorted(g.edges)
+    verts = sorted(g.vertices)
+    for size in range(1, len(verts)):
+        for combo in itertools.combinations(verts, size):
+            s = frozenset(combo)
+            assert is_minimal_kcut(g, s) == cut_point_definition(g, s), (sorted(g.edges), combo)
+
+
+def test_components_within_matches_induced_subgraph(small_connected_graphs):
+    for g in small_connected_graphs:
+        verts = sorted(g.vertices)
+        for size in range(len(verts) + 1):
+            for combo in itertools.combinations(verts, size):
+                want = connected_components(induced_subgraph(g, combo))
+                assert components_within(g, combo) == want
+    with pytest.raises(PreconditionError):
+        components_within(cycle_graph(4), {5})

@@ -285,3 +285,31 @@ def test_empty_cut_singleton_transversals_are_dominating_sets(small_connected_gr
             if all(len(e) == 1 for e in elements):
                 support = {next(iter(e)) for e in elements}
                 assert is_connected_dominating(g, support), (sorted(g.edges), support)
+
+
+def reference_family(g, s, cuts):
+    """The Δ-family built from the public matroid construction."""
+    base = matroid_of_cut(g, s)
+    others = [rec.s for rec in cuts if rec.s != s]
+    members = tuple(small_dependent_diff(matroid_of_cut(g, t), base) for t in others)
+    return TransversalFamily(g.n, members, tuple(others))
+
+
+def test_delta_family_equals_reference_construction(small_connected_graphs):
+    """The set-difference Δ-families equal small_dependent_diff over
+    matroid_of_cut, member by member and source by source, and give the
+    same minimum transversal and witness."""
+    graphs = list(small_connected_graphs) + [cycle_graph(n) for n in (7, 8, 9)]
+    checked = 0
+    for g in graphs:
+        cuts = enumerate_min_cuts(g)
+        for rec in cuts:
+            fam = delta_family(g, rec.s)
+            ref = reference_family(g, rec.s, cuts)
+            assert fam.members == ref.members, (sorted(g.edges), sorted(rec.s))
+            assert fam.sources == ref.sources, (sorted(g.edges), sorted(rec.s))
+            assert min_transversal_weight(fam) == min_transversal_weight(ref)
+            checked += 1
+    assert checked > 200
+    with pytest.raises(PreconditionError):
+        delta_family(cycle_graph(4), {1, 2})  # adjacent pair is not a minimal cut
