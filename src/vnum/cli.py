@@ -6,12 +6,15 @@ Commands:
     vnum gb <graph-file> [--sigma <perm-file>]
 
 Exit codes: 0 success, 2 parse error, 3 precondition violation,
-4 resource exhaustion (a partial report is still emitted).
+4 resource exhaustion, 5 disagreement between routes (the pipeline against
+a domination formula or the oracle); after 4 and 5 the full report is
+still emitted, and 5 wins over 4.
 
 Environment: VNUM_MAX_POLYS (basis size cap, default 20000), VNUM_MAX_DEGREE
 (degree cap, 40), VNUM_TIME_BUDGET_SECS (seconds per prime, 300) and
-VNUM_JOBS (worker processes, 1).  Each must be a positive number, an integer
-except for the time budget; any other value exits 2 with an error line.
+VNUM_JOBS (worker processes for compute and cycle, 1).  Each must be a
+positive number, an integer except for the time budget; any other value
+exits 2 with an error line.
 """
 
 from __future__ import annotations
@@ -20,22 +23,22 @@ import argparse
 import json
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 from . import __version__
 from .errors import ConfigError, GraphFormatError, PreconditionError, ResourceLimitError
-from .graphs import enumerate_min_cuts, is_connected, is_minimal_kcut, parse_graph
+from .graphs import enumerate_min_cuts, is_connected, parse_graph
 from .groebner import Limits
 from .poly import poly_to_text
 from .matroids import cut_dependents
-from .edgeideals import admissible_path_basis, global_minimum, vnumber, vnumber_at_prime
+from .edgeideals import admissible_path_basis, global_minimum, prime_entry, vnumber
 from .cycles import cycle_graph, global_bounds, verify_cycle
 
 EXIT_OK = 0
 EXIT_PARSE = 2
 EXIT_PRECONDITION = 3
 EXIT_RESOURCE = 4
+EXIT_DISAGREE = 5
 
 
 @dataclass
@@ -134,60 +137,13 @@ def render_table(doc, out):
     print(f"global v = {g['v']}  attained at {argmin}", file=out)
 
 
-def _compute_entries(g, config):
-    """Per-prime entries, optionally fanned out over a process pool."""
-    if config.jobs <= 1:
-        rep = vnumber(g, config.limits, with_oracle=config.oracle,
-                      algebraic=not config.bounds_only)
-        return rep.per_prime, rep.global_v, rep.argmin
-    cuts = enumerate_min_cuts(g)
-    # at most one worker per prime and per cpu; assembly order is the
-    # deterministic prime order
-    width = min(config.jobs, len(cuts), os.cpu_count() or 1)
-    with ProcessPoolExecutor(max_workers=width) as pool:
-        entries = list(
-            pool.map(
-                _single_prime_entry,
-                [(g, rec.s, config.limits, config.oracle, config.bounds_only) for rec in cuts],
-            )
-        )
-    return (entries, *global_minimum(entries))
-
-
-def _single_prime_entry(args):
-    g, s, limits, oracle, bounds_only = args
-    import time
-
-    from .edgeideals import PrimeResult, _combinatorial_value, _window, oracle_vnumber_at_prime
-
-    cuts = enumerate_min_cuts(g)
-    rec = next(r for r in cuts if r.s == s)
-    dependents = cut_dependents(g, cuts)
-    t0 = time.monotonic()
-    comb = _combinatorial_value(g, rec)
-    window = _window(g, rec, comb, dependents)
-    v = witness = None
-    status, detail = "ok", ""
-    if bounds_only:
-        v = comb
-        method = "combinatorial"
-    else:
-        method = "algebraic"
-        try:
-            v, witness = vnumber_at_prime(g, s, limits)
-        except ResourceLimitError as exc:
-            status, detail = "resource-limit", str(exc)
-    oracle_v = oracle_ok = None
-    if oracle and status == "ok" and not bounds_only:
-        try:
-            oracle_v = oracle_vnumber_at_prime(g, s, limits)
-            oracle_ok = oracle_v == v
-        except ResourceLimitError as exc:
-            status, detail = "resource-limit", str(exc)
-    agree = comb == v if (comb is not None and v is not None) else None
-    millis = int((time.monotonic() - t0) * 1000)
-    return PrimeResult(s, method, v, witness, window, comb, agree, oracle_v, oracle_ok,
-                       millis, status, detail)
+def _exit_code(entries):
+    """5 when a route disagrees, else 4 when a prime hit a limit, else 0."""
+    if any(e.agree is False or e.oracle_ok is False for e in entries):
+        return EXIT_DISAGREE
+    if any(e.status != "ok" for e in entries):
+        return EXIT_RESOURCE
+    return EXIT_OK
 
 
 def cmd_compute(config, out):
@@ -195,24 +151,25 @@ def cmd_compute(config, out):
         g = parse_graph(fh.read())
     if not is_connected(g):
         raise PreconditionError("input graph must be connected")
+    algebraic = not config.bounds_only
     if config.prime not in (None, "all"):
         s = _parse_prime(config.prime, g)
-        # validate the selector before any heavy computation
-        if s and not is_minimal_kcut(g, s)[0]:
+        cuts = enumerate_min_cuts(g)
+        rec = next((r for r in cuts if r.s == s), None)
+        if rec is None:
             raise PreconditionError(f"{sorted(s)} does not index a minimal prime")
-        entries = [_single_prime_entry((g, s, config.limits, config.oracle, config.bounds_only))]
-        global_v = entries[0].v
-        argmin = s if global_v is not None else None
+        entries = [prime_entry(rec, g, cut_dependents(g, cuts), config.limits,
+                               config.oracle, algebraic)]
+        global_v, argmin = global_minimum(entries)
     else:
-        entries, global_v, argmin = _compute_entries(g, config)
+        rep = vnumber(g, config.limits, config.oracle, algebraic, config.jobs)
+        entries, global_v, argmin = rep.per_prime, rep.global_v, rep.argmin
     doc = report_document(g, entries, global_v, argmin)
     if config.as_json:
         out.write(render_json(doc))
     else:
         render_table(doc, out)
-    if any(e.status != "ok" for e in entries):
-        return EXIT_RESOURCE
-    return EXIT_OK
+    return _exit_code(entries)
 
 
 def cmd_cycle(config, out):
@@ -231,7 +188,7 @@ def cmd_cycle(config, out):
         else:
             print(f"v(C_{n}) window: [{lo}, {hi}]" + ("  (exact)" if lo == hi else ""), file=out)
         return EXIT_OK
-    rep = verify_cycle(n, config.limits, with_oracle=config.oracle)
+    rep = verify_cycle(n, config.limits, with_oracle=config.oracle, jobs=config.jobs)
     doc = report_document(cycle_graph(n), rep.report.per_prime, rep.global_v, rep.report.argmin)
     if config.as_json:
         out.write(render_json(doc))
@@ -251,9 +208,7 @@ def cmd_cycle(config, out):
                 f" satisfied={rep.global_in_window} resolved={rep.resolved_value}",
                 file=out,
             )
-    if any(c.status != "ok" for c in rep.primes):
-        return EXIT_RESOURCE
-    return EXIT_OK
+    return _exit_code(rep.report.per_prime)
 
 
 def cmd_gb(config, out):

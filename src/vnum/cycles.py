@@ -291,13 +291,14 @@ def _combined_basis_check(n, s, sigma, limits):
     return is_groebner_basis(path_part + cut_part, order, limits=limits)
 
 
-def verify_cycle(n, limits=DEFAULT_LIMITS, with_oracle=False):
-    """Full cycle run: per-prime v-numbers, window checks, and the combined
-    Groebner-basis verification wherever a consistent relabeling exists."""
+def verify_cycle(n, limits=DEFAULT_LIMITS, with_oracle=False, jobs=1):
+    """Full cycle run: per-prime v-numbers (on up to jobs worker processes),
+    window checks, and the combined Groebner-basis verification wherever a
+    consistent relabeling exists."""
     if n < 3:
         raise PreconditionError("a cycle needs at least three vertices")
     g = cycle_graph(n)
-    rep = vnumber(g, limits, with_oracle=with_oracle)
+    rep = vnumber(g, limits, with_oracle=with_oracle, jobs=jobs)
     checks = []
     for entry in rep.per_prime:
         t0 = time.monotonic()

@@ -13,8 +13,11 @@ an independent intersection-based oracle.
 
 from __future__ import annotations
 
+import functools
 import itertools
+import os
 import time
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 from .errors import PreconditionError, ResourceLimitError
@@ -34,7 +37,7 @@ from .groebner import (
     is_groebner_basis,
     normal_form,
 )
-from .idealops import as_basis, colon_ideal, colon_poly, min_new_degree_candidates
+from .idealops import as_basis, colon_ideal, colon_poly, intersect, min_new_degree_candidates
 from .matroids import cut_dependents, delta_family, min_transversal_weight
 from .poly import (
     MonomialOrder,
@@ -230,8 +233,6 @@ def oracle_vnumber_at_prime(g, s, limits=DEFAULT_LIMITS):
     the intersection of the other minimal primes, so the v-number is the
     least degree of a spanning element of that intersection outside P_S.
     """
-    from .idealops import intersect
-
     s = _require_min_prime(g, s)
     limits = limits.start_clock() if limits.deadline is None else limits
     order = MonomialOrder(g.n)
@@ -245,21 +246,9 @@ def oracle_vnumber_at_prime(g, s, limits=DEFAULT_LIMITS):
     else:
         q = list(as_basis(q, order, limits).generators)
     target = prime_component(g, s).groebner(order)
-    cap = 2 * g.n
-    width = order.width
-    for d in range(cap + 1):
-        for gen in q:
-            k = d - gen.degree()
-            if k < 0:
-                continue
-            for combo in itertools.combinations_with_replacement(range(width), k):
-                exps = [0] * width
-                for v in combo:
-                    exps[v] += 1
-                m = Polynomial(width, {tuple(exps): 1})
-                if not normal_form(m * gen, target).is_zero:
-                    return d
-    raise ResourceLimitError(f"oracle degree cap {cap} exceeded; this indicates a bug")
+    # P_S is prime and the generators of Q are homogeneous, so some element
+    # of Q_d lies outside P_S exactly when a generator of degree <= d does
+    return min(gen.degree() for gen in q if not normal_form(gen, target).is_zero)
 
 
 # ---------------------------------------------------------------------------
@@ -323,57 +312,69 @@ def global_minimum(entries):
     return global_v, argmin
 
 
-def vnumber(g, limits=DEFAULT_LIMITS, with_oracle=False, algebraic=True):
+def prime_entry(rec, g, dependents, limits, with_oracle, algebraic, work=None):
+    """The report entry for the prime of one cut record; the only place a
+    per-prime entry is built, for serial runs, pool workers and --prime.
+
+    dependents is cut_dependents of the report's cut enumeration and work the
+    report's shared _GraphWork (None builds the J_G basis afresh).  Runs the
+    algebraic pipeline unless algebraic=False, which reports pure
+    combinatorics and never touches the Groebner engine; a resource error
+    is captured in the entry.
+    """
+    t0 = time.monotonic()
+    comb = _combinatorial_value(g, rec)
+    window = _window(g, rec, comb, dependents)
+    v = witness = None
+    status, detail = "ok", ""
+    if algebraic:
+        try:
+            v, witness = vnumber_at_prime(g, rec.s, limits, _work=work)
+        except ResourceLimitError as exc:
+            status, detail = "resource-limit", str(exc)
+    else:
+        v = comb
+    oracle_v = oracle_ok = None
+    if with_oracle and algebraic and status == "ok":
+        try:
+            oracle_v = oracle_vnumber_at_prime(g, rec.s, limits)
+            oracle_ok = oracle_v == v
+        except ResourceLimitError as exc:
+            status, detail = "resource-limit", str(exc)
+    agree = comb == v if comb is not None and v is not None else None
+    return PrimeResult(
+        s=rec.s,
+        method="algebraic" if algebraic else "combinatorial",
+        v=v,
+        witness=witness,
+        window=window,
+        combinatorial_v=comb,
+        agree=agree,
+        oracle_v=oracle_v,
+        oracle_ok=oracle_ok,
+        millis=int((time.monotonic() - t0) * 1000),
+        status=status,
+        detail=detail,
+    )
+
+
+def vnumber(g, limits=DEFAULT_LIMITS, with_oracle=False, algebraic=True, jobs=1):
     """Localized v-numbers at every minimal prime plus the global minimum.
 
-    Runs the algebraic pipeline per prime (unless algebraic=False, which
-    reports pure combinatorics and never touches the Groebner engine),
-    records the combinatorial value where a theorem gives one, and flags
-    agreement.  Resource errors are captured per prime.
+    Enumerates the cuts once and builds each prime's entry with prime_entry.
+    With jobs > 1 the primes run on a process pool of at most one worker per
+    prime and per cpu, each building its own J_G basis; entries stay in
+    prime order either way.
     """
     cuts = enumerate_min_cuts(g)
-    dependents = cut_dependents(g, cuts)
-    work = _GraphWork()
-    entries = []
-    for rec in cuts:
-        t0 = time.monotonic()
-        comb = _combinatorial_value(g, rec)
-        window = _window(g, rec, comb, dependents)
-        v = witness = None
-        status, detail = "ok", ""
-        method = "algebraic" if algebraic else "combinatorial"
-        if algebraic:
-            try:
-                v, witness = vnumber_at_prime(g, rec.s, limits, _work=work)
-            except ResourceLimitError as exc:
-                status, detail = "resource-limit", str(exc)
-        else:
-            v = comb
-        oracle_v = oracle_ok = None
-        if with_oracle and algebraic and status == "ok":
-            try:
-                oracle_v = oracle_vnumber_at_prime(g, rec.s, limits)
-                oracle_ok = oracle_v == v if v is not None else None
-            except ResourceLimitError as exc:
-                status, detail = "resource-limit", str(exc)
-        agree = None
-        if comb is not None and v is not None:
-            agree = comb == v
-        millis = int((time.monotonic() - t0) * 1000)
-        entries.append(
-            PrimeResult(
-                s=rec.s,
-                method=method,
-                v=v,
-                witness=witness,
-                window=window,
-                combinatorial_v=comb,
-                agree=agree,
-                oracle_v=oracle_v,
-                oracle_ok=oracle_ok,
-                millis=millis,
-                status=status,
-                detail=detail,
-            )
-        )
+    entry = functools.partial(
+        prime_entry, g=g, dependents=cut_dependents(g, cuts), limits=limits,
+        with_oracle=with_oracle, algebraic=algebraic, work=_GraphWork(),
+    )
+    if jobs <= 1:
+        entries = list(map(entry, cuts))
+    else:
+        width = min(jobs, len(cuts), os.cpu_count() or 1)
+        with ProcessPoolExecutor(max_workers=width) as pool:
+            entries = list(pool.map(entry, cuts))
     return VNumberReport(g, entries, *global_minimum(entries))

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property
 
 from .errors import GraphFormatError, PreconditionError
 
@@ -58,8 +58,18 @@ class Graph:
             u, v = v, u
         return (u, v) in self.edges
 
+    @cached_property
+    def adjacency(self):
+        """{vertex: frozenset of neighbours}, built once per graph object;
+        the dataclass's eq, hash and repr still see only the fields."""
+        adj = {v: set() for v in self.vertices}
+        for u, v in self.edges:
+            adj[u].add(v)
+            adj[v].add(u)
+        return {v: frozenset(ns) for v, ns in adj.items()}
+
     def neighbors(self, v):
-        return _adjacency(self)[v]
+        return self.adjacency[v]
 
     def is_complete(self):
         k = len(self.vertices)
@@ -67,15 +77,6 @@ class Graph:
 
     def degree_of(self, v):
         return len(self.neighbors(v))
-
-
-@lru_cache(maxsize=4096)
-def _adjacency(g):
-    adj = {v: set() for v in g.vertices}
-    for u, v in g.edges:
-        adj[u].add(v)
-        adj[v].add(u)
-    return {v: frozenset(ns) for v, ns in adj.items()}
 
 
 def path_graph(n):
@@ -101,7 +102,7 @@ def components_within(g, w):
     w = frozenset(w)
     if not w <= g.vertices:
         raise PreconditionError(f"{sorted(w - g.vertices)} not vertices of the graph")
-    adj = _adjacency(g)
+    adj = g.adjacency
     seen = set()
     comps = []
     for start in sorted(w):
@@ -137,7 +138,7 @@ def _require_connected(g):
 def _every_vertex_splits(g, s, comps):
     """Each vertex of s has neighbours in at least two of comps, the
     components of g - s (the one-pass cut test of the module docstring)."""
-    adj = _adjacency(g)
+    adj = g.adjacency
     where = {v: idx for idx, comp in enumerate(comps) for v in comp}
     return all(len({where[u] for u in adj[i] if u in where}) >= 2 for i in s)
 
@@ -189,7 +190,7 @@ def is_connected_dominating(g, b):
         raise PreconditionError("set contains non-vertices")
     if len(components_within(g, b)) > 1:
         return False
-    adj = _adjacency(g)
+    adj = g.adjacency
     return all(adj[v] & b for v in g.vertices - b)
 
 

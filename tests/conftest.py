@@ -3,9 +3,11 @@
 from __future__ import annotations
 
 import itertools
+import pickle
 from functools import lru_cache
 
 import pytest
+from hypothesis import strategies as st
 
 from vnum.graphs import Graph, complete_graph, path_graph
 from vnum.cycles import cycle_graph
@@ -13,6 +15,19 @@ from vnum.cycles import cycle_graph
 
 def graph_from_edges(n, edges):
     return Graph.make(n, edges)
+
+
+@st.composite
+def connected_graphs(draw, min_n, max_n):
+    """A random spanning tree on a random labelling plus random extra edges."""
+    n = draw(st.integers(min_n, max_n))
+    order = draw(st.permutations(range(1, n + 1)))
+    tree = {
+        tuple(sorted((order[i], order[draw(st.integers(0, i - 1))]))) for i in range(1, n)
+    }
+    pairs = [e for e in itertools.combinations(range(1, n + 1), 2) if e not in tree]
+    extra = draw(st.sets(st.sampled_from(pairs), max_size=n + 3)) if pairs else set()
+    return Graph.make(n, sorted(tree | extra))
 
 
 @lru_cache(maxsize=None)
@@ -93,3 +108,29 @@ def named_graphs():
         "star4": Graph.make(4, [(1, 2), (1, 3), (1, 4)]),
         "kite": Graph.make(4, [(1, 2), (1, 3), (2, 3), (3, 4)]),
     }
+
+
+@pytest.fixture
+def serial_pool(monkeypatch):
+    """Replace vnumber's process pool by an in-process map that still sends
+    each task and its result through pickle; returns the requested widths."""
+    widths = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            widths.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            ship = lambda obj: pickle.loads(pickle.dumps(obj))  # noqa: E731
+            return (ship(ship(fn)(ship(item))) for item in items)
+
+    import vnum.edgeideals
+
+    monkeypatch.setattr(vnum.edgeideals, "ProcessPoolExecutor", SerialPool)
+    return widths

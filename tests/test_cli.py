@@ -9,6 +9,7 @@ import sys
 import pytest
 
 from vnum.cli import (
+    EXIT_DISAGREE,
     EXIT_OK,
     EXIT_PARSE,
     EXIT_PRECONDITION,
@@ -214,6 +215,7 @@ def test_oracle_limit_keeps_the_report(tmp_path, monkeypatch):
 
 def test_pool_width_is_bounded(c4_file, monkeypatch):
     import vnum.cli
+    import vnum.edgeideals
 
     widths = []
 
@@ -230,7 +232,7 @@ def test_pool_width_is_bounded(c4_file, monkeypatch):
         def map(self, fn, items):
             return map(fn, items)
 
-    monkeypatch.setattr(vnum.cli, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(vnum.edgeideals, "ProcessPoolExecutor", SerialPool)
     _, serial = run_main(["compute", c4_file, "--json"])
     monkeypatch.setenv("VNUM_JOBS", "100000")
     for cpus, width in [(64, 3), (2, 2), (None, 1)]:  # C_4 has 3 primes
@@ -260,6 +262,109 @@ def test_parallel_width_matches_serial(c4_file):
         for p in doc["primes"]:
             p.pop("millis")
     assert parallel == serial
+
+
+def strip_millis(text):
+    doc = json.loads(text)
+    for p in doc["primes"]:
+        p.pop("millis")
+    return doc
+
+
+def test_pool_enumerates_cuts_once(tmp_path, monkeypatch, serial_pool):
+    import vnum.cli
+    import vnum.edgeideals
+    import vnum.graphs
+    import vnum.matroids
+
+    calls = []
+
+    def counting(g):
+        calls.append(g)
+        return vnum.graphs.enumerate_min_cuts(g)
+
+    for mod in (vnum.cli, vnum.edgeideals, vnum.matroids):
+        monkeypatch.setattr(mod, "enumerate_min_cuts", counting)
+    c6 = tmp_path / "c6.txt"
+    c6.write_text("n 6\n1 2\n2 3\n3 4\n4 5\n5 6\n1 6\n")
+    monkeypatch.setenv("VNUM_JOBS", "2")
+    code, text = run_main(["compute", str(c6), "--json"])
+    assert code == EXIT_OK
+    assert len(serial_pool) == 1 and len(json.loads(text)["primes"]) == 12
+    assert len(calls) == 1
+
+
+def test_cycle_honours_jobs(monkeypatch, serial_pool):
+    import vnum.edgeideals
+
+    monkeypatch.setattr(vnum.edgeideals.os, "cpu_count", lambda: 64)
+    _, serial = run_main(["cycle", "4", "--json"])
+    assert serial_pool == []
+    monkeypatch.setenv("VNUM_JOBS", "2")
+    code, pooled = run_main(["cycle", "4", "--json"])
+    assert code == EXIT_OK
+    assert serial_pool == [2]
+    assert strip_millis(pooled) == strip_millis(serial)
+
+
+@pytest.fixture
+def c5_file(tmp_path):
+    p = tmp_path / "c5.txt"
+    p.write_text("n 5\n1 2\n2 3\n3 4\n4 5\n1 5\n")
+    return str(p)
+
+
+def test_oracle_mismatch_exits_disagree(c5_file, monkeypatch):
+    import vnum.edgeideals
+
+    honest = vnum.edgeideals.oracle_vnumber_at_prime
+    monkeypatch.setattr(vnum.edgeideals, "oracle_vnumber_at_prime",
+                        lambda g, s, limits: honest(g, s, limits) + 1)
+    code, text = run_main(["compute", c5_file, "--prime", "1,3", "--oracle", "--json"])
+    assert code == EXIT_DISAGREE
+    (entry,) = json.loads(text)["primes"]
+    assert entry["s"] == [1, 3] and entry["v"] == 3 and entry["oracle_ok"] is False
+
+
+def test_disagreement_wins_over_resource_limit(c5_file, monkeypatch):
+    import vnum.edgeideals
+    from vnum.errors import ResourceLimitError
+
+    honest = vnum.edgeideals.oracle_vnumber_at_prime
+
+    def oracle(g, s, limits):
+        if s != {1, 3}:
+            raise ResourceLimitError("time budget exceeded")
+        return honest(g, s, limits) + 1
+
+    monkeypatch.setattr(vnum.edgeideals, "oracle_vnumber_at_prime", oracle)
+    code, text = run_main(["compute", c5_file, "--oracle", "--json"])
+    assert code == EXIT_DISAGREE
+    oks = {tuple(p["s"]): p["oracle_ok"] for p in json.loads(text)["primes"]}
+    assert len(oks) == 6 and oks.pop((1, 3)) is False
+    assert set(oks.values()) == {None}
+
+
+def test_formula_mismatch_exits_disagree(c5_file, monkeypatch):
+    import vnum.edgeideals
+
+    honest = vnum.edgeideals._combinatorial_value
+
+    def off_by_one(g, rec):
+        comb = honest(g, rec)
+        return None if comb is None else comb + 1
+
+    monkeypatch.setattr(vnum.edgeideals, "_combinatorial_value", off_by_one)
+    code, text = run_main(["compute", c5_file, "--prime", "1,3", "--json"])
+    assert code == EXIT_DISAGREE
+    (entry,) = json.loads(text)["primes"]
+    assert entry["v"] == 3 and entry["window"] == {"lo": 4, "hi": 4}
+    code, text = run_main(["cycle", "4", "--json"])
+    assert code == EXIT_DISAGREE
+    assert len(json.loads(text)["primes"]) == 3
+    # bounds-only reports the formula itself, so it cannot disagree
+    code, _ = run_main(["compute", c5_file, "--bounds-only", "--json"])
+    assert code == EXIT_OK
 
 
 def test_version_flag(capsys):

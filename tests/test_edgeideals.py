@@ -1,6 +1,11 @@
 """Edge ideals, prime components, path bases, and the v-number pipeline."""
 
+import dataclasses
+
 import pytest
+from hypothesis import HealthCheck, given, settings
+
+from conftest import connected_graphs
 
 from vnum.errors import PreconditionError
 from vnum.graphs import (
@@ -327,3 +332,19 @@ def test_vnumber_enumerates_cuts_once_per_report(monkeypatch):
     second = vnumber(cycle_graph(8), algebraic=False)
     assert len(calls) == 2  # an equal graph is enumerated again
     assert [e.window for e in first.per_prime] == [e.window for e in second.per_prime]
+
+
+@settings(max_examples=30, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(connected_graphs(2, 5))
+def test_serial_equals_pool_and_routes_agree(serial_pool, g):
+    """One entry path: a pooled run equals the serial one field by field,
+    and the pipeline, the formulas and the oracle never disagree."""
+    serial = vnumber(g, with_oracle=True)
+    pooled = vnumber(g, with_oracle=True, jobs=3)
+    assert serial_pool  # the pool was used
+    assert (serial.global_v, serial.argmin) == (pooled.global_v, pooled.argmin)
+    assert len(serial.per_prime) == len(pooled.per_prime)
+    for a, b in zip(serial.per_prime, pooled.per_prime):
+        assert dataclasses.replace(a, millis=0) == dataclasses.replace(b, millis=0)
+        assert a.status == "ok" and a.agree is not False and a.oracle_ok is not False

@@ -6,6 +6,8 @@ import networkx as nx
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import connected_graphs
+
 from vnum.errors import GraphFormatError, PreconditionError
 from vnum.graphs import (
     Graph,
@@ -242,19 +244,6 @@ def test_components_partition_vertices(n, data):
     assert comps == sorted(comps, key=min)
 
 
-@st.composite
-def connected_graphs_6_to_9(draw):
-    """A random spanning tree on a random labelling plus random extra edges."""
-    n = draw(st.integers(6, 9))
-    order = draw(st.permutations(range(1, n + 1)))
-    tree = {
-        tuple(sorted((order[i], order[draw(st.integers(0, i - 1))]))) for i in range(1, n)
-    }
-    pairs = [e for e in itertools.combinations(range(1, n + 1), 2) if e not in tree]
-    extra = draw(st.sets(st.sampled_from(pairs), max_size=n + 3))
-    return Graph.make(n, sorted(tree | extra))
-
-
 def cut_point_definition(g, s):
     """(flag, k) straight from the definition, on networkx: G - S has k >= 2
     components and each i in S is a cut point of G[(V - S) + i]."""
@@ -268,7 +257,7 @@ def cut_point_definition(g, s):
 
 
 @settings(max_examples=25, deadline=None)
-@given(connected_graphs_6_to_9())
+@given(connected_graphs(6, 9))
 def test_one_pass_cut_test_matches_definition(g):
     """The one-pass cut test against networkx on 6-9 vertices: the whole
     enumeration, and the verdict on every nonempty proper subset."""
