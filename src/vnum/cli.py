@@ -23,15 +23,13 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass
 
 from . import __version__
 from .errors import ConfigError, GraphFormatError, PreconditionError, ResourceLimitError
-from .graphs import enumerate_min_cuts, is_connected, parse_graph
+from .graphs import is_connected, parse_graph
 from .groebner import Limits
 from .poly import poly_to_text
-from .matroids import cut_dependents
-from .edgeideals import admissible_path_basis, global_minimum, prime_entry, vnumber
+from .edgeideals import GraphWork, admissible_path_basis, global_minimum, prime_entry, vnumber
 from .cycles import cycle_graph, global_bounds, verify_cycle
 
 EXIT_OK = 0
@@ -39,21 +37,6 @@ EXIT_PARSE = 2
 EXIT_PRECONDITION = 3
 EXIT_RESOURCE = 4
 EXIT_DISAGREE = 5
-
-
-@dataclass
-class RunConfig:
-    command: str
-    graph_path: str | None = None
-    cycle_n: int | None = None
-    prime: str | None = None  # "all", "empty", or "1,3"
-    as_json: bool = False
-    bounds_only: bool = False
-    oracle: bool = False
-    verify: bool = True
-    sigma_path: str | None = None
-    limits: Limits = None
-    jobs: int = 1
 
 
 def settings_from_env(env=os.environ):
@@ -146,35 +129,31 @@ def _exit_code(entries):
     return EXIT_OK
 
 
-def cmd_compute(config, out):
-    with open(config.graph_path, encoding="utf-8") as fh:
+def cmd_compute(ns, limits, jobs, out):
+    with open(ns.graph_file, encoding="utf-8") as fh:
         g = parse_graph(fh.read())
     if not is_connected(g):
         raise PreconditionError("input graph must be connected")
-    algebraic = not config.bounds_only
-    if config.prime not in (None, "all"):
-        s = _parse_prime(config.prime, g)
-        cuts = enumerate_min_cuts(g)
-        rec = next((r for r in cuts if r.s == s), None)
-        if rec is None:
-            raise PreconditionError(f"{sorted(s)} does not index a minimal prime")
-        entries = [prime_entry(rec, g, cut_dependents(g, cuts), config.limits,
-                               config.oracle, algebraic)]
+    algebraic = not ns.bounds_only
+    if ns.prime and ns.prime != "all":  # an empty --prime or --prime all acts as --all
+        s = _parse_prime(ns.prime, g)
+        work = GraphWork.of(g)
+        entries = [prime_entry(work.record(s), g, work, limits, ns.oracle, algebraic)]
         global_v, argmin = global_minimum(entries)
     else:
-        rep = vnumber(g, config.limits, config.oracle, algebraic, config.jobs)
+        rep = vnumber(g, limits, ns.oracle, algebraic, jobs)
         entries, global_v, argmin = rep.per_prime, rep.global_v, rep.argmin
     doc = report_document(g, entries, global_v, argmin)
-    if config.as_json:
+    if ns.json:
         out.write(render_json(doc))
     else:
         render_table(doc, out)
     return _exit_code(entries)
 
 
-def cmd_cycle(config, out):
-    n = config.cycle_n
-    if not config.verify:  # --bounds: pure arithmetic, no algebra
+def cmd_cycle(ns, limits, jobs, out):
+    n = ns.n
+    if ns.bounds:  # pure arithmetic, no algebra
         lo, hi = global_bounds(n)
         doc = {
             "version": __version__,
@@ -183,14 +162,14 @@ def cmd_cycle(config, out):
             "global": {"v": lo if lo == hi else None, "argmin_s": None},
             "window": _window_json(lo, hi),
         }
-        if config.as_json:
+        if ns.json:
             out.write(render_json(doc))
         else:
             print(f"v(C_{n}) window: [{lo}, {hi}]" + ("  (exact)" if lo == hi else ""), file=out)
         return EXIT_OK
-    rep = verify_cycle(n, config.limits, with_oracle=config.oracle, jobs=config.jobs)
+    rep = verify_cycle(n, limits, with_oracle=ns.oracle, jobs=jobs)
     doc = report_document(cycle_graph(n), rep.report.per_prime, rep.global_v, rep.report.argmin)
-    if config.as_json:
+    if ns.json:
         out.write(render_json(doc))
     else:
         render_table(doc, out)
@@ -211,12 +190,12 @@ def cmd_cycle(config, out):
     return _exit_code(rep.report.per_prime)
 
 
-def cmd_gb(config, out):
-    with open(config.graph_path, encoding="utf-8") as fh:
+def cmd_gb(ns, limits, jobs, out):
+    with open(ns.graph_file, encoding="utf-8") as fh:
         g = parse_graph(fh.read())
     sigma = None
-    if config.sigma_path:
-        with open(config.sigma_path, encoding="utf-8") as fh:
+    if ns.sigma:
+        with open(ns.sigma, encoding="utf-8") as fh:
             parts = fh.read().split()
         try:
             sigma = [int(p) for p in parts]
@@ -270,23 +249,8 @@ def main(argv=None, out=None):
         return int(exc.code or 0)
     try:
         limits, jobs = settings_from_env()
-        config = RunConfig(command=ns.command, limits=limits, jobs=jobs)
-        if ns.command == "compute":
-            config.graph_path = ns.graph_file
-            config.prime = ns.prime if ns.prime else "all"
-            config.as_json = ns.json
-            config.bounds_only = ns.bounds_only
-            config.oracle = ns.oracle
-            return cmd_compute(config, out)
-        if ns.command == "cycle":
-            config.cycle_n = ns.n
-            config.verify = not ns.bounds
-            config.as_json = ns.json
-            config.oracle = ns.oracle
-            return cmd_cycle(config, out)
-        config.graph_path = ns.graph_file
-        config.sigma_path = ns.sigma
-        return cmd_gb(config, out)
+        command = {"compute": cmd_compute, "cycle": cmd_cycle, "gb": cmd_gb}[ns.command]
+        return command(ns, limits, jobs, out)
     except (GraphFormatError, ConfigError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE

@@ -5,7 +5,9 @@ A minimal prime of the n-cycle other than the empty set is a set S of at
 least two pairwise non-adjacent vertices; its complement splits into |S|
 cyclic intervals.  The localized v-numbers are pinned exactly or within a
 window of width at most two by the interval shape, and the global value
-lands on 2n/3 when 3 | n and inside a two-value window otherwise.
+lands on 2n/3 when 3 | n and inside a two-value window otherwise.  An
+S-consistent relabeling exists exactly when at least two of the intervals
+are singletons, for every n (see s_consistent_permutation).
 """
 
 from __future__ import annotations
@@ -170,21 +172,27 @@ def s_consistent_permutation(n, s):
     """A relabeling passing all five checks, or None.
 
     With two singleton intervals the explicit construction applies and is
-    verified; otherwise the full permutation search runs (n <= 8 only).
+    verified.  With fewer, no relabeling passes, so None needs no search:
+
+    Walk round the cycle skipping the cut vertices.  Each step, inside an
+    interval or across a gap (from an interval's end over a cut vertex to
+    the next interval's start), goes up or down in rank.  Checks 0-3 make
+    the first step of a non-singleton interval go the way of the gap before
+    it and its last step the way of the gap after it.  Check 4, or size 2,
+    makes those two steps agree, so the gaps on both sides of a
+    non-singleton interval point the same way.  With fewer than two
+    singleton intervals the non-singleton intervals chain all gaps together,
+    so every gap points the same way, say up, and then so does every step
+    inside the intervals.  The ranks would rise strictly all the way round
+    back to where they started, which is impossible.
     """
     decomp = intervals(n, s)
-    if len(decomp.c1) >= 2:
-        sigma = _explicit_sigma(decomp)
-        cert = SigmaCertificate(sigma, _consistency_checks(decomp, sigma))
-        assert cert.valid, "explicit relabeling must pass its own checks"
-        return cert
-    if n > 8:
-        raise ResourceLimitError("permutation search is limited to n <= 8")
-    for perm in itertools.permutations(range(1, n + 1)):
-        checks = _consistency_checks(decomp, perm)
-        if all(checks):
-            return SigmaCertificate(tuple(perm), checks)
-    return None
+    if len(decomp.c1) < 2:
+        return None
+    sigma = _explicit_sigma(decomp)
+    cert = SigmaCertificate(sigma, _consistency_checks(decomp, sigma))
+    assert cert.valid, "explicit relabeling must pass its own checks"
+    return cert
 
 
 # ---------------------------------------------------------------------------
@@ -312,10 +320,7 @@ def verify_cycle(n, limits=DEFAULT_LIMITS, with_oracle=False, jobs=1):
             in_window = window[0] <= entry.v <= window[1]
         gb_check = "skipped"
         if entry.s and entry.status == "ok":
-            try:
-                cert = s_consistent_permutation(n, entry.s)
-            except ResourceLimitError:
-                cert = None
+            cert = s_consistent_permutation(n, entry.s)
             if cert is not None:
                 try:
                     ok = _combined_basis_check(n, entry.s, cert.sigma, limits.start_clock())

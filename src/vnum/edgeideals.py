@@ -27,7 +27,6 @@ from .graphs import (
     enumerate_min_cuts,
     gamma_c,
     gamma_c_pair,
-    is_minimal_kcut,
 )
 from .groebner import (
     DEFAULT_LIMITS,
@@ -37,7 +36,7 @@ from .groebner import (
     is_groebner_basis,
     normal_form,
 )
-from .idealops import as_basis, colon_ideal, colon_poly, intersect, min_new_degree_candidates
+from .idealops import colon_ideal, colon_poly, intersect, min_new_degree_candidates
 from .matroids import cut_dependents, delta_family, min_transversal_weight
 from .poly import (
     MonomialOrder,
@@ -164,15 +163,6 @@ def _assert_reduced_groebner(gb):
 # v-numbers
 # ---------------------------------------------------------------------------
 
-def _require_min_prime(g, s):
-    s = frozenset(s)
-    if s:
-        ok, _ = is_minimal_kcut(g, s)
-        if not ok:
-            raise PreconditionError(f"{sorted(s)} does not index a minimal prime")
-    return s
-
-
 def check_colon_equals_prime(g, f, s, limits=DEFAULT_LIMITS):
     """Direct certificate for the v-number definition: (J_G : f) = P_S,
     checked by mutual membership of both generator sets."""
@@ -190,13 +180,29 @@ def check_colon_equals_prime(g, f, s, limits=DEFAULT_LIMITS):
 
 
 @dataclass
-class _GraphWork:
-    """What the primes of one graph share within one report: the basis of
-    J_G, built under the clock of the first prime that needs it (a prime
-    that hits a limit leaves it for the next), and the colons (J_G : f)."""
+class GraphWork:
+    """What the primes of one graph share within one report: its one cut
+    enumeration and the cut_dependents of it, the basis of J_G, built under
+    the clock of the first prime that needs it (a prime that hits a limit
+    leaves it for the next), and the colons (J_G : f)."""
 
+    cuts: list
+    dependents: dict
     jg: GroebnerBasis | None = None
     colons: dict = field(default_factory=dict)
+
+    @classmethod
+    def of(cls, g):
+        cuts = enumerate_min_cuts(g)
+        return cls(cuts, cut_dependents(g, cuts))
+
+    def record(self, s):
+        """The cut record of S; the only test that S indexes a minimal prime."""
+        s = frozenset(s)
+        rec = next((r for r in self.cuts if r.s == s), None)
+        if rec is None:
+            raise PreconditionError(f"{sorted(s)} does not index a minimal prime")
+        return rec
 
 
 def vnumber_at_prime(g, s, limits=DEFAULT_LIMITS, _work=None):
@@ -205,20 +211,23 @@ def vnumber_at_prime(g, s, limits=DEFAULT_LIMITS, _work=None):
     Computes (J_G : P_S), takes the least degree of a reduced-basis element
     outside J_G, and only reports a witness whose colon is exactly P_S; for
     the complete graph at the empty cut the ideal is already prime and the
-    value is 0 with witness 1.
+    value is 0 with witness 1.  _work is the report's GraphWork; without it
+    the cuts are enumerated here.
     """
-    s = _require_min_prime(g, s)
+    work = GraphWork.of(g) if _work is None else _work
+    s = work.record(s).s
     limits = limits.start_clock() if limits.deadline is None else limits
     if s == frozenset() and g.is_complete():
         return 0, one_poly(g.n)
     order = MonomialOrder(g.n)
-    work = _GraphWork() if _work is None else _work
     if work.jg is None:
         work.jg = buchberger(edge_ideal_gens(g), order, limits)
     jg = work.jg
     pc = prime_component(g, s)
     quot = colon_ideal(jg, list(pc.gens), order, limits, poly_colon_cache=work.colons)
-    _, cands = min_new_degree_candidates(quot, jg, order, limits)
+    # colon_ideal returns a reduced basis, so it goes in as one
+    quot_gb = GroebnerBasis(tuple(quot), order, reduced=True)
+    _, cands = min_new_degree_candidates(quot_gb, jg, order, limits)
     for w in cands:
         if check_colon_equals_prime(g, w, s, limits):
             return w.degree(), w
@@ -228,26 +237,26 @@ def vnumber_at_prime(g, s, limits=DEFAULT_LIMITS, _work=None):
     )
 
 
-def oracle_vnumber_at_prime(g, s, limits=DEFAULT_LIMITS):
+def oracle_vnumber_at_prime(g, s, limits=DEFAULT_LIMITS, _work=None):
     """Independent route: the colon at a minimal prime of a radical ideal is
     the intersection of the other minimal primes, so the v-number is the
     least degree of a spanning element of that intersection outside P_S.
+    _work is the report's GraphWork; without it the cuts are enumerated here.
     """
-    s = _require_min_prime(g, s)
+    work = GraphWork.of(g) if _work is None else _work
+    s = work.record(s).s
     limits = limits.start_clock() if limits.deadline is None else limits
     order = MonomialOrder(g.n)
-    others = [rec.s for rec in enumerate_min_cuts(g) if rec.s != s]
     q = None
-    for other in others:
+    for other in (rec.s for rec in work.cuts if rec.s != s):
         pgens = list(prime_component(g, other).gens)
         q = pgens if q is None else intersect(q, pgens, order, limits)
     if q is None:
         q = [one_poly(g.n)]
-    else:
-        q = list(as_basis(q, order, limits).generators)
     target = prime_component(g, s).groebner(order)
-    # P_S is prime and the generators of Q are homogeneous, so some element
-    # of Q_d lies outside P_S exactly when a generator of degree <= d does
+    # P_S is prime and Q is generated by homogeneous polynomials, so some
+    # element of Q_d lies outside P_S exactly when a generator of degree
+    # <= d does; any homogeneous generating set of Q will do
     return min(gen.degree() for gen in q if not normal_form(gen, target).is_zero)
 
 
@@ -296,8 +305,7 @@ def _combinatorial_value(g, rec):
 
 
 def _window(g, rec, comb, dependents):
-    """(lo, hi) for one prime; dependents is cut_dependents of the report's
-    cut enumeration."""
+    """(lo, hi) for one prime; dependents is the report's GraphWork.dependents."""
     if comb is not None:
         return (comb, comb)
     weight, _ = min_transversal_weight(delta_family(g, rec.s, dependents))
@@ -312,19 +320,18 @@ def global_minimum(entries):
     return global_v, argmin
 
 
-def prime_entry(rec, g, dependents, limits, with_oracle, algebraic, work=None):
+def prime_entry(rec, g, work, limits, with_oracle, algebraic):
     """The report entry for the prime of one cut record; the only place a
     per-prime entry is built, for serial runs, pool workers and --prime.
 
-    dependents is cut_dependents of the report's cut enumeration and work the
-    report's shared _GraphWork (None builds the J_G basis afresh).  Runs the
+    work is the report's GraphWork, which rec comes from.  Runs the
     algebraic pipeline unless algebraic=False, which reports pure
     combinatorics and never touches the Groebner engine; a resource error
     is captured in the entry.
     """
     t0 = time.monotonic()
     comb = _combinatorial_value(g, rec)
-    window = _window(g, rec, comb, dependents)
+    window = _window(g, rec, comb, work.dependents)
     v = witness = None
     status, detail = "ok", ""
     if algebraic:
@@ -337,7 +344,7 @@ def prime_entry(rec, g, dependents, limits, with_oracle, algebraic, work=None):
     oracle_v = oracle_ok = None
     if with_oracle and algebraic and status == "ok":
         try:
-            oracle_v = oracle_vnumber_at_prime(g, rec.s, limits)
+            oracle_v = oracle_vnumber_at_prime(g, rec.s, limits, _work=work)
             oracle_ok = oracle_v == v
         except ResourceLimitError as exc:
             status, detail = "resource-limit", str(exc)
@@ -362,19 +369,20 @@ def vnumber(g, limits=DEFAULT_LIMITS, with_oracle=False, algebraic=True, jobs=1)
     """Localized v-numbers at every minimal prime plus the global minimum.
 
     Enumerates the cuts once and builds each prime's entry with prime_entry.
-    With jobs > 1 the primes run on a process pool of at most one worker per
-    prime and per cpu, each building its own J_G basis; entries stay in
+    The primes run on a process pool of at most one worker per prime and per
+    cpu, each task building its own J_G basis, when that is wider than one
+    worker; otherwise they run here and share one basis.  Entries stay in
     prime order either way.
     """
-    cuts = enumerate_min_cuts(g)
+    work = GraphWork.of(g)
     entry = functools.partial(
-        prime_entry, g=g, dependents=cut_dependents(g, cuts), limits=limits,
-        with_oracle=with_oracle, algebraic=algebraic, work=_GraphWork(),
+        prime_entry, g=g, work=work, limits=limits,
+        with_oracle=with_oracle, algebraic=algebraic,
     )
-    if jobs <= 1:
-        entries = list(map(entry, cuts))
+    width = min(jobs, len(work.cuts), os.cpu_count() or 1)
+    if width <= 1:
+        entries = list(map(entry, work.cuts))
     else:
-        width = min(jobs, len(cuts), os.cpu_count() or 1)
         with ProcessPoolExecutor(max_workers=width) as pool:
-            entries = list(pool.map(entry, cuts))
+            entries = list(pool.map(entry, work.cuts))
     return VNumberReport(g, entries, *global_minimum(entries))

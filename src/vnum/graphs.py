@@ -53,11 +53,6 @@ class Graph:
             norm.add((u, v))
         return Graph(n, frozenset(norm), verts)
 
-    def has_edge(self, u, v):
-        if u > v:
-            u, v = v, u
-        return (u, v) in self.edges
-
     @cached_property
     def adjacency(self):
         """{vertex: frozenset of neighbours}, built once per graph object;
@@ -74,9 +69,6 @@ class Graph:
     def is_complete(self):
         k = len(self.vertices)
         return len(self.edges) == k * (k - 1) // 2
-
-    def degree_of(self, v):
-        return len(self.neighbors(v))
 
 
 def path_graph(n):

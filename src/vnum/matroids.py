@@ -174,20 +174,23 @@ def min_transversal_weight(family):
     elements by descending coverage; ties between optimal witnesses break
     toward the lexicographically least element set.
     """
-    members = sorted((frozenset(m) for m in family.members), key=lambda m: (len(m), _set_key(m)))
+    members = [frozenset(m) for m in family.members]
     if not members:
         return 0, Transversal(frozenset(), frozenset())
     if any(not m for m in members):
         raise NoTransversalError("a family member is empty; no transversal exists")
 
-    universe = sorted(set().union(*members), key=_element_key)
-    coverage = {e: sum(1 for m in members if e in m) for e in universe}
+    key_of = {e: _element_key(e) for e in set().union(*members)}  # once per element
+
+    def set_key(elements):
+        return tuple(sorted(key_of[e] for e in elements))
+
+    members.sort(key=lambda m: (len(m), set_key(m)))
+    coverage = {e: sum(1 for m in members if e in m) for e in key_of}
     # each member with its elements in branching order; the first unhit
     # member is always the one to branch on, since members are sorted
-    branches = [
-        (m, sorted(m, key=lambda e: (-coverage[e], _element_key(e)))) for m in members
-    ]
-    best = [sum(_weight(e) for e in universe) + 1, None, None]  # weight, set, key
+    branches = [(m, sorted(m, key=lambda e: (-coverage[e], key_of[e]))) for m in members]
+    best = [sum(_weight(e) for e in key_of) + 1, None, None]  # weight, set, key
 
     def lower_bound(unhit):
         # pairwise-disjoint unhit members must be hit by distinct elements
@@ -202,7 +205,7 @@ def min_transversal_weight(family):
     def search(unhit, chosen, weight):
         if not unhit:
             if weight <= best[0]:
-                key = _set_key(chosen)
+                key = set_key(chosen)
                 if weight < best[0] or key < best[2]:
                     best[:] = [weight, chosen, key]
             return

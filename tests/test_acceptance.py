@@ -39,7 +39,7 @@ from vnum.edgeideals import (
     vnumber_at_prime,
 )
 from vnum.poly import MonomialOrder, mono_is_squarefree
-from vnum.cycles import cycle_graph, global_bounds, verify_cycle
+from vnum.cycles import cycle_graph, global_bounds, intervals, verify_cycle
 
 
 def report(criterion, passed, detail):
@@ -247,15 +247,23 @@ def test_criterion_08_decomposition(graphs_n5):
 
 def test_criterion_09_cycle_windows(cycle_reports):
     """Localized cycle values respect the lower bound n - |S| (for cuts of
-    size at least three) and sit inside their interval windows, n <= 8."""
+    size at least three) and sit inside their interval windows, n <= 8; the
+    combined basis check runs and passes exactly on the cuts with at least
+    two singleton intervals."""
     checked = 0
+    passes = {}
     for n, rep in cycle_reports.items():
         for check in rep.primes:
             assert check.status == "ok", (n, sorted(check.s))
             assert check.in_window, (n, sorted(check.s), check.v, check.window)
             if len(check.s) >= 3:
                 assert check.v >= n - len(check.s), (n, sorted(check.s), check.v)
+            two_singletons = bool(check.s) and len(intervals(n, check.s).c1) >= 2
+            assert check.gb_check == ("pass" if two_singletons else "skipped"), (
+                n, sorted(check.s), check.gb_check)
+            passes[n] = passes.get(n, 0) + two_singletons
             checked += 1
+    assert passes == {3: 0, 4: 2, 5: 0, 6: 2, 7: 7, 8: 10}
     report(9, checked >= 60, f"windows and lower bounds hold at {checked} cycle primes, n <= 8")
 
 

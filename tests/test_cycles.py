@@ -7,6 +7,7 @@ from vnum.groebner import is_groebner_basis
 from vnum.poly import MonomialOrder, edge_binomial, poly_to_text
 from vnum.edgeideals import admissible_path_basis
 from vnum.cycles import (
+    _consistency_checks,
     cut_polynomial,
     cycle_graph,
     cycle_transversal_ideal,
@@ -69,10 +70,29 @@ def test_sigma_certificate_examples():
     assert cert.valid
     assert cert.sigma == (5, 1, 2, 3, 4, 6)
     assert cert.sigma[1] == 1 and cert.sigma[5] == 6
-    # no singleton intervals: the search proves no relabeling exists
+    # no singleton intervals: no relabeling exists
     assert s_consistent_permutation(6, {1, 4}) is None
     cert = s_consistent_permutation(4, {1, 3})
     assert cert is not None and cert.valid
+
+
+def test_consistent_relabeling_needs_two_singletons():
+    """A brute force over every relabeling finds one passing all five checks
+    exactly when at least two intervals are singletons (every cycle cut,
+    n <= 7), and s_consistent_permutation agrees."""
+    import itertools
+
+    from vnum.graphs import enumerate_min_cuts
+
+    for n in range(4, 8):
+        perms = list(itertools.permutations(range(1, n + 1)))
+        for rec in enumerate_min_cuts(cycle_graph(n)):
+            if not rec.s:
+                continue
+            d = intervals(n, rec.s)
+            exists = any(all(_consistency_checks(d, p)) for p in perms)
+            assert exists == (len(d.c1) >= 2), (n, sorted(rec.s))
+            assert (s_consistent_permutation(n, rec.s) is not None) == exists, (n, sorted(rec.s))
 
 
 def test_cut_polynomial_examples():
