@@ -11,7 +11,7 @@ a domination formula or the oracle); after 4 and 5 the full report is
 still emitted, and 5 wins over 4.
 
 Environment: VNUM_MAX_POLYS (basis size cap, default 20000), VNUM_MAX_DEGREE
-(degree cap, 40), VNUM_TIME_BUDGET_SECS (seconds per prime, 300) and
+(degree cap, 40), VNUM_TIME_BUDGET_SECS (seconds per prime or gb run, 300) and
 VNUM_JOBS (worker processes for compute and cycle, 1).  Each must be a
 positive number, an integer except for the time budget; any other value
 exits 2 with an error line.
@@ -203,7 +203,7 @@ def cmd_gb(ns, limits, jobs, out):
             raise GraphFormatError("permutation file must hold integers")
         if sorted(sigma) != list(range(1, g.n + 1)):
             raise GraphFormatError(f"permutation file must list 1..{g.n} once each")
-    gb = admissible_path_basis(g, sigma)
+    gb = admissible_path_basis(g, sigma, limits.start_clock())
     for p in gb.generators:
         print(poly_to_text(p), file=out)
     return EXIT_OK

@@ -294,7 +294,7 @@ class CycleReport:
 
 def _combined_basis_check(n, s, sigma, limits):
     order = MonomialOrder(n, sigma)
-    path_part = list(admissible_path_basis(cycle_graph(n), sigma).generators)
+    path_part = list(admissible_path_basis(cycle_graph(n), sigma, limits).generators)
     cut_part = cycle_transversal_ideal(n, s)
     return is_groebner_basis(path_part + cut_part, order, limits=limits)
 

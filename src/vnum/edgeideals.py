@@ -92,12 +92,13 @@ def prime_component(g, s):
 # admissible-path basis
 # ---------------------------------------------------------------------------
 
-def _all_path_interiors(g, i, j):
+def _all_path_interiors(g, i, j, limits):
     """Vertex sets of interiors of all simple i-j paths."""
     interiors = set()
     adj = {v: sorted(g.neighbors(v)) for v in g.vertices}
 
     def walk(v, seen):
+        limits.check_time()
         for u in adj[v]:
             if u == j:
                 interiors.add(frozenset(seen))
@@ -108,7 +109,7 @@ def _all_path_interiors(g, i, j):
     return interiors
 
 
-def admissible_path_basis(g, sigma=None):
+def admissible_path_basis(g, sigma=None, limits=DEFAULT_LIMITS):
     """Reduced lex basis of J_G from the admissible paths of the graph.
 
     A path from i to j (with sigma(i) < sigma(j)) is admissible when its
@@ -116,14 +117,15 @@ def admissible_path_basis(g, sigma=None):
     the interior supports an i-j path; it contributes u_pi * f_{i,j} with
     u_pi collecting x over the high interior vertices and y over the low
     ones.  The construction is verified against the Buchberger criterion
-    before being returned; failure is a bug, not an input error.
+    before being returned; failure is a bug, not an input error.  The path
+    search and that check run under the deadline of limits.
     """
     order = MonomialOrder(g.n, sigma)
     rank = {v: order.sigma[v - 1] for v in g.vertices}
     gens = {}
     for a, b in itertools.combinations(sorted(g.vertices), 2):
         i, j = (a, b) if rank[a] < rank[b] else (b, a)
-        interiors = _all_path_interiors(g, i, j)
+        interiors = _all_path_interiors(g, i, j, limits)
         for interior in interiors:
             if any(rank[i] < rank[w] < rank[j] for w in interior):
                 continue
@@ -135,11 +137,11 @@ def admissible_path_basis(g, sigma=None):
             gens[(i, j, interior)] = u * edge_binomial(i, j, g.n)
     basis = sorted(gens.values(), key=lambda p: order.key(p.leading_monomial(order)))
     gb = GroebnerBasis(tuple(basis), order, reduced=True)
-    _assert_reduced_groebner(gb)
+    _assert_reduced_groebner(gb, limits)
     return gb
 
 
-def _assert_reduced_groebner(gb):
+def _assert_reduced_groebner(gb, limits):
     order = gb.order
     lms = [p.leading_monomial(order) for p in gb.generators]
     for a, b in itertools.combinations(range(len(lms)), 2):
@@ -154,7 +156,7 @@ def _assert_reduced_groebner(gb):
             assert not any(
                 mono_divides(lm, m) for lm in lms
             ), "path basis must be tail-reduced"
-    assert is_groebner_basis(list(gb.generators), order), (
+    assert is_groebner_basis(list(gb.generators), order, limits=limits), (
         "admissible-path set fails the Buchberger criterion"
     )
 

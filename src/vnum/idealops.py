@@ -108,7 +108,7 @@ def colon_poly(gens, f, order, limits=DEFAULT_LIMITS):
         return list(as_basis(gens, order, limits).generators)
     inter = intersect(gi, [f], order, limits)
     quotients = [exact_div(h, f, order) for h in inter]
-    return reduce_basis(quotients, order)
+    return reduce_basis(quotients, order, limits)
 
 
 def colon_ideal(gens, pgens, order, limits=DEFAULT_LIMITS, poly_colon_cache=None):

@@ -5,14 +5,17 @@ operations that eliminate introduce one auxiliary variable t.  A monomial
 is a dense exponent tuple whose width is 2n (or 2n+1 when t is present),
 coefficients are exact rationals stored as int when integral and
 fractions.Fraction otherwise.  No floating point enters this module.
+Inside the Groebner engine a monomial is instead one int, packed by its
+MonomialOrder (see MonomialOrder.pack and the packed_* helpers).
 """
 
 from __future__ import annotations
 
 import re
+import sys
 from fractions import Fraction
 
-from .errors import GraphFormatError, PreconditionError
+from .errors import GraphFormatError, PreconditionError, ResourceLimitError
 
 
 # ---------------------------------------------------------------------------
@@ -97,6 +100,31 @@ def mono_is_squarefree(a):
     return all(e <= 1 for e in a)
 
 
+# ---------------------------------------------------------------------------
+# packed monomials (one int each, laid out by a MonomialOrder)
+# ---------------------------------------------------------------------------
+
+# Each variable owns a FIELD_BITS-wide field whose top bit is a guard bit,
+# clear in every valid monomial; exponents therefore stay below 2^15.  The
+# fields are read back as native unsigned shorts ("H"), hence 16 bits.
+FIELD_BITS = 16
+MAX_EXPONENT = (1 << (FIELD_BITS - 1)) - 1
+EXPONENT_CAP = f"exponent cap {MAX_EXPONENT} exceeded"
+
+
+def packed_divides(a, b, guard):
+    """a | b: subtracting a from b with every guard bit set borrows no guard."""
+    return ((b | guard) - a) & guard == guard
+
+
+def packed_lcm(a, b, guard):
+    """Fieldwise max: the guard bits left after the same subtraction mark the
+    fields where a >= b, and widen into a mask selecting a's fields there.
+    The lcm equals the product a + b exactly when a and b are coprime."""
+    ge = ((a | guard) - b) & guard
+    return b ^ ((a ^ b) & (ge - (ge >> (FIELD_BITS - 1))))
+
+
 def monomial(width, exps):
     """Build a monomial from a {variable slot: exponent} map."""
     m = [0] * width
@@ -121,7 +149,8 @@ class MonomialOrder:
     lex order x1 > ... > xn > y1 > ... > yn.
     """
 
-    __slots__ = ("n", "sigma", "elim_t", "width", "priority")
+    __slots__ = ("n", "sigma", "elim_t", "width", "priority", "guard",
+                 "_shifts", "_fields", "_nbytes")
 
     def __init__(self, n, sigma=None, elim_t=False):
         if sigma is None:
@@ -138,6 +167,33 @@ class MonomialOrder:
         xs = sorted(range(n), key=lambda j: sigma[j])
         head = (2 * n,) if elim_t else ()
         self.priority = head + tuple(xs) + tuple(n + j for j in xs)
+        # packed layout: the greatest variable in the most significant field
+        fields = [0] * self.width  # field number of each slot, 0 lowest
+        for rank, v in enumerate(self.priority):
+            fields[v] = self.width - 1 - rank
+        self._fields = tuple(fields)
+        self._shifts = tuple(FIELD_BITS * f for f in self._fields)
+        self._nbytes = self.width * FIELD_BITS // 8
+        self.guard = sum(1 << (FIELD_BITS * f + FIELD_BITS - 1) for f in range(self.width))
+
+    def pack(self, m):
+        """m as one int; integer comparison is this order and + the product.
+        Raises ResourceLimitError for an exponent above MAX_EXPONENT."""
+        if max(m, default=0) > MAX_EXPONENT:
+            raise ResourceLimitError(EXPONENT_CAP)
+        return sum(e << s for e, s in zip(m, self._shifts))
+
+    def _field_values(self, p):
+        return memoryview(p.to_bytes(self._nbytes, sys.byteorder)).cast("H")
+
+    def unpack(self, p):
+        """The exponent tuple of a packed monomial."""
+        fields = self._field_values(p)
+        return tuple(fields[f] for f in self._fields)
+
+    def packed_degree(self, p):
+        """Total degree of a packed monomial."""
+        return sum(self._field_values(p))
 
     def key(self, m):
         """Sort key: tuple comparison of keys is the lex comparison."""

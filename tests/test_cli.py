@@ -170,6 +170,17 @@ def test_gb_with_sigma(c4_file, tmp_path):
     assert code == EXIT_PARSE
 
 
+def test_gb_runs_under_the_time_budget(tmp_path, monkeypatch, capsys):
+    c6 = tmp_path / "c6.txt"
+    c6.write_text("n 6\n1 2\n2 3\n3 4\n4 5\n5 6\n1 6\n")
+    monkeypatch.setenv("VNUM_TIME_BUDGET_SECS", "1e-9")
+    code, text = run_main(["gb", str(c6)])
+    assert code == EXIT_RESOURCE
+    assert text == ""
+    err = capsys.readouterr().err
+    assert err.startswith("error: time budget exceeded") and "Traceback" not in err
+
+
 def test_limits_from_env(monkeypatch):
     monkeypatch.setenv("VNUM_MAX_POLYS", "123")
     monkeypatch.setenv("VNUM_MAX_DEGREE", "7")

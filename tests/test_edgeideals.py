@@ -372,3 +372,11 @@ def test_serial_equals_pool_and_routes_agree(serial_pool, g):
     for a, b in zip(serial.per_prime, pooled.per_prime):
         assert dataclasses.replace(a, millis=0) == dataclasses.replace(b, millis=0)
         assert a.status == "ok" and a.agree is not False and a.oracle_ok is not False
+
+
+@settings(max_examples=8, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(connected_graphs(6, 6))
+def test_serial_equals_pool_and_routes_agree_n6(serial_pool, g):
+    """test_serial_equals_pool_and_routes_agree on six vertices."""
+    test_serial_equals_pool_and_routes_agree.hypothesis.inner_test(serial_pool, g)

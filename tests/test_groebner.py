@@ -125,8 +125,12 @@ def test_reducer_table_is_a_stable_sort_by_leading_term():
         table.add(p)
     table.add(Polynomial.zero(2 * n))
     expected = sorted(polys, key=lambda p: order.key(p.leading_monomial(order)))
-    assert [terms for _, _, terms in table.entries] == [p.terms for p in expected]
-    assert [lm for lm, _, _ in ReducerTable(order, polys).entries] == [
+    unpack = order.unpack
+    assert [
+        {unpack(lm): lc, **{unpack(m): c for m, c in tail}}
+        for lm, lc, tail, _ in table.entries
+    ] == [p.terms for p in expected]
+    assert [unpack(lm) for lm, *_ in ReducerTable(order, polys).entries] == [
         p.leading_monomial(order) for p in expected
     ]
 
@@ -347,6 +351,43 @@ def test_resource_limits():
     expired = Limits(time_budget_secs=0.0).start_clock()
     with pytest.raises(ResourceLimitError):
         buchberger(gens, order, expired)
+
+
+def test_exponent_overflow_raises_instead_of_wrapping():
+    # the basis of (x1 - y1^20000, x1^2) is {x1 - y1^20000, y1^40000}, whose
+    # exponent does not fit a packed field: every route must refuse, not wrap
+    order = MonomialOrder(1)
+    f = poly_from_text("x1 - y1^20000", 1)
+    x1_squared = poly_from_text("x1^2", 1)
+    roomy = Limits(max_degree=10**6)
+    with pytest.raises(ResourceLimitError, match="exponent cap 32767"):
+        buchberger([f, x1_squared], order, roomy)
+    with pytest.raises(ResourceLimitError, match="exponent cap 32767"):
+        normal_form(x1_squared, [f], order)
+    with pytest.raises(ResourceLimitError, match="exponent cap 32767"):
+        s_polynomial(
+            poly_from_text("x1*y1^20000", 1), poly_from_text("x1^2 + y1^20000", 1), order
+        )
+    # right at the edge of the field the same shape still computes
+    g = poly_from_text("x1 - y1^16383", 1)
+    gb = buchberger([g, x1_squared], order, roomy)
+    assert [poly_to_text(p) for p in gb.generators] == ["y1^32766", "x1 - y1^16383"]
+
+
+def test_division_checks_the_deadline():
+    # x1^300 modulo x1 - y1 takes 301 division steps, past one clock check
+    from vnum.groebner import _nf_terms, _pack
+
+    order = MonomialOrder(1)
+    f = poly_from_text("x1^300", 1)
+    table = ReducerTable(order, [poly_from_text("x1 - y1", 1)])
+    expired = Limits(time_budget_secs=0.0).start_clock()
+    with pytest.raises(ResourceLimitError, match="time budget"):
+        _nf_terms(_pack(f, order), table, expired)
+    # the public normal form runs without a deadline
+    assert normal_form(f, table) == poly_from_text("y1^300", 1)
+    # a short division finishes before its first check
+    assert _nf_terms(_pack(poly_from_text("x1^3", 1), order), table, expired)
 
 
 def test_unit_ideal_detection():

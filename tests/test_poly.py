@@ -5,16 +5,21 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from vnum.errors import GraphFormatError, PreconditionError
+from vnum.errors import GraphFormatError, PreconditionError, ResourceLimitError
 from vnum.poly import (
+    MAX_EXPONENT,
     MonomialOrder,
     Polynomial,
     edge_binomial,
+    mono_coprime,
     mono_degree,
+    mono_div,
     mono_divides,
     mono_lcm,
     mono_mul,
     one_poly,
+    packed_divides,
+    packed_lcm,
     poly_from_text,
     poly_to_text,
     t_poly,
@@ -181,3 +186,39 @@ def test_order_is_multiplicative(data):
         assert not order.greater(a, b)  # divisor never beats its multiple in lex
     l = mono_lcm(a, b)
     assert mono_divides(a, l) and mono_divides(b, l)
+
+
+# small exponents make divisibility and shared variables likely; the large
+# ones reach the top of a field
+exponents = st.one_of(st.integers(0, 2), st.integers(0, MAX_EXPONENT))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_packed_monomials_match_the_tuple_helpers(data):
+    n = data.draw(st.integers(1, 5))
+    sigma = data.draw(st.permutations(range(1, n + 1)))
+    order = MonomialOrder(n, sigma, elim_t=data.draw(st.booleans()))
+    a, b = (tuple(data.draw(exponents) for _ in range(order.width)) for _ in "ab")
+    pa, pb, guard = order.pack(a), order.pack(b), order.guard
+    assert order.unpack(pa) == a and not pa & guard
+    assert (pa < pb) == (order.key(a) < order.key(b))
+    assert order.packed_degree(pa) == mono_degree(a)
+    assert packed_divides(pa, pb, guard) == mono_divides(a, b)
+    if mono_divides(a, b):
+        assert pb - pa == order.pack(mono_div(b, a))
+    lcm = packed_lcm(pa, pb, guard)
+    assert order.unpack(lcm) == mono_lcm(a, b)
+    assert (lcm == pa + pb) == mono_coprime(a, b)  # the engine's coprimality test
+    product = mono_mul(a, b)
+    if max(product, default=0) <= MAX_EXPONENT:
+        assert pa + pb == order.pack(product)
+    else:
+        assert (pa + pb) & guard  # an overflowing field shows in its guard bit
+
+
+def test_pack_refuses_an_exponent_past_the_field():
+    order = MonomialOrder(2)
+    assert order.unpack(order.pack((MAX_EXPONENT, 0, 1, 0))) == (MAX_EXPONENT, 0, 1, 0)
+    with pytest.raises(ResourceLimitError, match=f"exponent cap {MAX_EXPONENT}"):
+        order.pack((0, MAX_EXPONENT + 1, 0, 0))
