@@ -35,6 +35,7 @@ from .groebner import (
     buchberger,
     is_groebner_basis,
     normal_form,
+    reduce_basis,
 )
 from .idealops import colon_ideal, colon_poly, intersect, min_new_degree_candidates
 from .matroids import cut_dependents, delta_family, min_transversal_weight
@@ -42,7 +43,6 @@ from .poly import (
     MonomialOrder,
     Polynomial,
     edge_binomial,
-    mono_divides,
     one_poly,
     x_poly,
     y_poly,
@@ -142,22 +142,14 @@ def admissible_path_basis(g, sigma=None, limits=DEFAULT_LIMITS):
 
 
 def _assert_reduced_groebner(gb, limits):
-    order = gb.order
-    lms = [p.leading_monomial(order) for p in gb.generators]
-    for a, b in itertools.combinations(range(len(lms)), 2):
-        assert not mono_divides(lms[a], lms[b]) and not mono_divides(
-            lms[b], lms[a]
-        ), "leading terms of the path basis must be pairwise non-dividing"
-    for p in gb.generators:
-        assert p.leading_coeff(order) == 1, "path basis elements must be monic"
-        for m in p.terms:
-            if m == p.leading_monomial(order):
-                continue
-            assert not any(
-                mono_divides(lm, m) for lm in lms
-            ), "path basis must be tail-reduced"
-    assert is_groebner_basis(list(gb.generators), order, limits=limits), (
+    """A reduced Groebner basis, ascending by leading monomial, is exactly
+    what reduce_basis makes of it."""
+    gens = list(gb.generators)
+    assert is_groebner_basis(gens, gb.order, limits=limits), (
         "admissible-path set fails the Buchberger criterion"
+    )
+    assert reduce_basis(gens, gb.order, limits) == gens, (
+        "path basis must be minimal, monic and tail-reduced"
     )
 
 
@@ -176,9 +168,9 @@ def check_colon_equals_prime(g, f, s, limits=DEFAULT_LIMITS):
     target = prime_component(g, s)
     target_gb = target.groebner(order)
     colon_table = ReducerTable(order, colon)
-    if not all(normal_form(p, colon_table).is_zero for p in target.gens):
+    if not all(normal_form(p, colon_table, limits=limits).is_zero for p in target.gens):
         return False
-    return all(normal_form(c, target_gb).is_zero for c in colon)
+    return all(normal_form(c, target_gb, limits=limits).is_zero for c in colon)
 
 
 @dataclass
@@ -186,7 +178,7 @@ class GraphWork:
     """What the primes of one graph share within one report: its one cut
     enumeration and the cut_dependents of it, the basis of J_G, built under
     the clock of the first prime that needs it (a prime that hits a limit
-    leaves it for the next), and the colons (J_G : f)."""
+    leaves it for the next), and the colons (J_G : f) colon_ideal caches."""
 
     cuts: list
     dependents: dict
@@ -259,7 +251,7 @@ def oracle_vnumber_at_prime(g, s, limits=DEFAULT_LIMITS, _work=None):
     # P_S is prime and Q is generated by homogeneous polynomials, so some
     # element of Q_d lies outside P_S exactly when a generator of degree
     # <= d does; any homogeneous generating set of Q will do
-    return min(gen.degree() for gen in q if not normal_form(gen, target).is_zero)
+    return min(g.degree() for g in q if not normal_form(g, target, limits=limits).is_zero)
 
 
 # ---------------------------------------------------------------------------

@@ -6,11 +6,16 @@ in the most significant field, the top bit of each field a guard bit.
 Integer comparison is then the lex comparison, multiplication and division
 are + and -, and divisibility and the lcm are a few integer operations on
 the guard bits.  A polynomial is a {packed monomial: coefficient} dict.
-The public functions take and return Polynomials; buchberger packs its
-input once and unpacks its reduced basis once.  An exponent that would
-outgrow its field (above MAX_EXPONENT) raises ResourceLimitError, checked
-before every product the engine forms, so a field never wraps into its
-neighbour.
+The functions that take Polynomials convert with pack_poly on entry and
+unpack_poly on exit; idealops keeps packed values between engine calls and
+converts only at its own public functions.  An exponent that would outgrow
+its field (above MAX_EXPONENT) raises ResourceLimitError, checked before
+every product the engine forms, so a field never wraps into its neighbour.
+
+The auxiliary variable t of intersection, colon and radical membership is
+the top field of the t-elimination order, whose x and y fields are those of
+the order without t: a t-free monomial is the same int in both, and
+multiplying by t adds one constant.
 
 Pair selection uses the normal strategy (smallest lcm first, ties broken by
 the lex key of the lcm and then by the pair's indices).  The pairs wait in
@@ -75,11 +80,6 @@ class Limits:
 DEFAULT_LIMITS = Limits()
 
 
-def contains_unit(polys):
-    """True when a nonzero constant is among polys, so they generate (1)."""
-    return any(not g.is_zero and g.is_constant() for g in polys)
-
-
 @dataclass(frozen=True)
 class GroebnerBasis:
     generators: tuple
@@ -88,15 +88,17 @@ class GroebnerBasis:
 
     @property
     def contains_one(self):
-        return contains_unit(self.generators)
+        return any(not g.is_zero and g.is_constant() for g in self.generators)
+
+    @cached_property
+    def packed(self):
+        """The nonzero generators packed by the order, built on first use."""
+        return [pack_poly(g, self.order) for g in self.generators if not g.is_zero]
 
     @cached_property
     def reducers(self):
         """The packed division table of the generators, built on first use."""
         return ReducerTable(self.order, self.generators)
-
-    def normal_form(self, f):
-        return normal_form(f, self)
 
     def __iter__(self):
         return iter(self.generators)
@@ -105,25 +107,51 @@ class GroebnerBasis:
         return len(self.generators)
 
 
-def _unit_basis(order):
-    return GroebnerBasis((Polynomial.constant(order.width, 1),), order, reduced=True)
-
-
 # ---------------------------------------------------------------------------
 # packed polynomials
 # ---------------------------------------------------------------------------
 
-def _pack(f, order):
+def pack_poly(f, order):
+    """A Polynomial as a {packed monomial: coefficient} dict."""
+    if f.width != order.width:
+        raise PreconditionError("polynomial width does not match order")
     return {order.pack(m): c for m, c in f.terms.items()}
 
 
-def _unpack(p, order):
+def unpack_poly(p, order):
+    """The Polynomial of a packed polynomial."""
     return Polynomial(order.width, {order.unpack(m): c for m, c in p.items()})
 
 
-def _monic(p, lm):
+def _subtract(p, terms, shift, k):
+    """p -= k * (terms shifted by the monomial shift), in place."""
+    for m, c in terms:
+        mm = m + shift
+        nc = p.get(mm, 0) - k * c
+        if nc:
+            p[mm] = nc
+        else:
+            del p[mm]
+
+
+def packed_product(p, q, order):
+    """The product of two packed polynomials; an overflowing field sets its guard bit."""
+    out = {}
+    for m, c in q.items():
+        _subtract(out, p.items(), m, -c)
+    if any(m & order.guard for m in out):
+        raise ResourceLimitError(EXPONENT_CAP)
+    return out
+
+
+def _sort_key(p):
+    """Polynomial.sort_key of a packed polynomial: its terms, greatest first."""
+    return tuple((m, c.numerator, c.denominator) for m, c in sorted(p.items(), reverse=True))
+
+
+def _monic(p):
     """p scaled to leading coefficient 1, integral coefficients as int."""
-    lc = p[lm]
+    lc = p[max(p)]
     if lc != 1:
         inv = Fraction(1, 1) / lc
         p = {m: c * inv for m, c in p.items()}
@@ -162,7 +190,7 @@ class ReducerTable:
     def add(self, g):
         """Add a Polynomial; the zero polynomial is skipped."""
         if not g.is_zero:
-            self.insert(_pack(g, self.order))
+            self.insert(pack_poly(g, self.order))
 
     def insert(self, p):
         """Add a nonzero packed polynomial and return its row."""
@@ -171,6 +199,10 @@ class ReducerTable:
         self._lms.insert(at, row[0])
         self.entries.insert(at, row)
         return row
+
+    def remainder(self, p, limits):
+        """The normal form of a packed polynomial modulo the rows."""
+        return _nf_terms(p, self, limits)
 
 
 # ---------------------------------------------------------------------------
@@ -198,26 +230,20 @@ def _nf_terms(terms, table, limits):
                 shift = lm_p - lm_g
                 if (cap + shift) & guard:
                     raise ResourceLimitError(EXPONENT_CAP)
-                factor = c_p if lc_g == 1 else Fraction(c_p, 1) / lc_g
-                for m, c in tail:
-                    mm = m + shift
-                    nc = p.get(mm, 0) - factor * c
-                    if nc:
-                        p[mm] = nc
-                    else:
-                        del p[mm]
+                _subtract(p, tail, shift, c_p if lc_g == 1 else Fraction(c_p, 1) / lc_g)
                 break
         else:
             rem[lm_p] = c_p
     return rem
 
 
-def normal_form(f, basis, order=None):
+def normal_form(f, basis, order=None, limits=DEFAULT_LIMITS):
     """Full division remainder of f modulo a basis (zero iff f in the ideal,
     when the basis is a Groebner basis for the order).
 
     basis is a GroebnerBasis (its cached table is used), a ReducerTable, or
-    a plain list of polynomials, which then needs the order.
+    a plain list of polynomials, which then needs the order.  The division
+    runs under the deadline of limits.
     """
     if isinstance(basis, (GroebnerBasis, ReducerTable)):
         if order is None:
@@ -229,7 +255,7 @@ def normal_form(f, basis, order=None):
         raise PreconditionError("order required when basis is a plain list")
     else:
         table = ReducerTable(order, basis)
-    return _unpack(_nf_terms(_pack(f, order), table, DEFAULT_LIMITS), order)
+    return unpack_poly(table.remainder(pack_poly(f, order), limits), order)
 
 
 def _spoly(f, g, lcm, guard):
@@ -245,14 +271,7 @@ def _spoly(f, g, lcm, guard):
     else:
         kf = Fraction(1, 1) / lcf
         s = {m + sf: c * kf for m, c in tailf}
-    kg = 1 if lcg == 1 else Fraction(1, 1) / lcg
-    for m, c in tailg:
-        mm = m + sg
-        nc = s.get(mm, 0) - kg * c
-        if nc:
-            s[mm] = nc
-        else:
-            del s[mm]
+    _subtract(s, tailg, sg, 1 if lcg == 1 else Fraction(1, 1) / lcg)
     return s
 
 
@@ -261,8 +280,8 @@ def s_polynomial(f, g, order):
     if f.is_zero or g.is_zero:
         raise PreconditionError("S-polynomial of the zero polynomial")
     guard = order.guard
-    rf, rg = _row(_pack(f, order), guard), _row(_pack(g, order), guard)
-    return _unpack(_spoly(rf, rg, packed_lcm(rf[0], rg[0], guard), guard), order)
+    rf, rg = _row(pack_poly(f, order), guard), _row(pack_poly(g, order), guard)
+    return unpack_poly(_spoly(rf, rg, packed_lcm(rf[0], rg[0], guard), guard), order)
 
 
 # ---------------------------------------------------------------------------
@@ -312,13 +331,16 @@ def buchberger(gens, order, limits=DEFAULT_LIMITS):
     An empty generator list (the zero ideal) yields an empty basis.  Raises
     ResourceLimitError when a cap is exceeded, never a wrong answer.
     """
-    start = [g for g in gens if not g.is_zero]
-    for g in start:
-        if g.width != order.width:
-            raise PreconditionError("generator width does not match order")
-    start = sorted(set(g.monic(order) for g in start), key=lambda p: p.sort_key(order))
-    if contains_unit(start):
-        return _unit_basis(order)
+    basis = _buchberger([pack_poly(g, order) for g in gens if not g.is_zero], order, limits)
+    return GroebnerBasis(tuple(unpack_poly(p, order) for p in basis), order, reduced=True)
+
+
+def _buchberger(polys, order, limits):
+    """The reduced basis of nonzero packed polynomials, ascending by leading
+    monomial; the start set, monic and without repeats, is in _sort_key order."""
+    start = {_sort_key(p): p for p in map(_monic, polys)}
+    if any(max(p) == 0 for p in start.values()):
+        return [{0: 1}]
 
     guard = order.guard
     G = []
@@ -343,8 +365,8 @@ def buchberger(gens, order, limits=DEFAULT_LIMITS):
             live[pair] = l
             heapq.heappush(queue, (order.packed_degree(l), l, pair))
 
-    for g in start:
-        push(_pack(g, order))
+    for key in sorted(start):
+        push(start[key])
 
     while queue:
         i, j = heapq.heappop(queue)[2]
@@ -355,19 +377,17 @@ def buchberger(gens, order, limits=DEFAULT_LIMITS):
         h = _nf_terms(_spoly(rows[i], rows[j], l, guard), table, limits)
         if not h:
             continue
-        lm = max(h)
-        if lm == 0:
-            return _unit_basis(order)
-        push(_monic(h, lm))
+        if max(h) == 0:
+            return [{0: 1}]
+        push(_monic(h))
 
-    reduced = _reduce(G, order, limits)
-    return GroebnerBasis(tuple(_unpack(p, order) for p in reduced), order, reduced=True)
+    return _reduce(G, order, limits)
 
 
 def _reduce(polys, order, limits):
     """The reduced basis of a Groebner basis of nonzero packed polynomials,
     ascending by leading monomial."""
-    monic = sorted((_monic(p, max(p)) for p in polys), key=max)
+    monic = sorted(map(_monic, polys), key=max)
     if monic and max(monic[0]) == 0:  # a constant, the least leading term
         return [{0: 1}]
     guard = order.guard
@@ -394,8 +414,8 @@ def _reduce(polys, order, limits):
 
 def reduce_basis(polys, order, limits=DEFAULT_LIMITS):
     """Turn a Groebner basis into the reduced one: minimal, monic, tail-reduced."""
-    packed = [_pack(p, order) for p in polys if not p.is_zero]
-    return [_unpack(p, order) for p in _reduce(packed, order, limits)]
+    packed = [pack_poly(p, order) for p in polys if not p.is_zero]
+    return [unpack_poly(p, order) for p in _reduce(packed, order, limits)]
 
 
 def is_groebner_basis(polys, order, skip_coprime=True, limits=DEFAULT_LIMITS):
@@ -407,7 +427,7 @@ def is_groebner_basis(polys, order, skip_coprime=True, limits=DEFAULT_LIMITS):
     check.
     """
     table = ReducerTable(order)
-    rows = [table.insert(_pack(p, order)) for p in polys if not p.is_zero]
+    rows = [table.insert(pack_poly(p, order)) for p in polys if not p.is_zero]
     guard = order.guard
     for i, fi in enumerate(rows):
         for fj in rows[i + 1:]:
@@ -418,3 +438,59 @@ def is_groebner_basis(polys, order, skip_coprime=True, limits=DEFAULT_LIMITS):
             if _nf_terms(_spoly(fi, fj, lcm, guard), table, limits):
                 return False
     return True
+
+
+# ---------------------------------------------------------------------------
+# the auxiliary variable t: intersection, colon and radical membership
+# ---------------------------------------------------------------------------
+
+def _t_extension(order):
+    """The t-elimination order of order's ring and the packed monomial t."""
+    eorder = MonomialOrder(order.n, order.sigma, elim_t=True)
+    return eorder, eorder.pack((0,) * (eorder.width - 1) + (1,))
+
+
+def _times_t(p, t, sign=1):
+    return {m + t: sign * c for m, c in p.items()}
+
+
+def packed_intersection(ps, qs, order, limits):
+    """The reduced basis of (ps) cap (qs): the t-free elements, those whose
+    leading monomial is below t, of the reduced basis of t*(ps) + (1-t)*(qs)
+    under the elimination order.  ps and qs are t-free, so q and t*q share
+    no monomial."""
+    eorder, t = _t_extension(order)
+    mixed = [_times_t(p, t) for p in ps] + [{**q, **_times_t(q, t, -1)} for q in qs]
+    return [p for p in _buchberger(mixed, eorder, limits) if max(p) < t]
+
+
+def packed_colon(ps, f, order, limits):
+    """The reduced basis of ((ps) : f) for a nonconstant f: the quotients by f
+    of a Groebner basis of (ps) cap (f) form a Groebner basis of the colon."""
+    row = _row(f, order.guard)
+    inter = packed_intersection(ps, [f], order, limits)
+    return _reduce([_exact_quotient(h, row, order.guard) for h in inter], order, limits)
+
+
+def _exact_quotient(p, row, guard):
+    """p / f for a multiple p of the polynomial f of row; inexactness is an
+    internal bug."""
+    lm_f, lc_f, tail, cap = row
+    p = dict(p)
+    q = {}
+    while p:
+        lm = max(p)
+        assert packed_divides(lm_f, lm, guard), "inexact division in colon computation"
+        shift = lm - lm_f
+        if (cap + shift) & guard:
+            raise ResourceLimitError(EXPONENT_CAP)
+        c = p.pop(lm)
+        q[shift] = k = c if lc_f == 1 else Fraction(c, 1) / lc_f
+        _subtract(p, tail, shift, k)
+    return q
+
+
+def packed_radical_contains(ps, f, order, limits):
+    """Rabinowitsch test: f lies in the radical of (ps) iff 1 in (ps, 1 - t*f)."""
+    eorder, t = _t_extension(order)
+    return _buchberger(ps + [{0: 1, **_times_t(f, t, -1)}], eorder, limits) == [{0: 1}]

@@ -5,8 +5,12 @@ operations that eliminate introduce one auxiliary variable t.  A monomial
 is a dense exponent tuple whose width is 2n (or 2n+1 when t is present),
 coefficients are exact rationals stored as int when integral and
 fractions.Fraction otherwise.  No floating point enters this module.
+
 Inside the Groebner engine a monomial is instead one int, packed by its
-MonomialOrder (see MonomialOrder.pack and the packed_* helpers).
+MonomialOrder (see MonomialOrder.pack and the packed_* helpers).  This
+module owns the layout, groebner the kernels and the conversion of
+Polynomials (pack_poly, unpack_poly).  With elim_t, t takes the field above
+the x and y fields, which keep the fields they have without t.
 """
 
 from __future__ import annotations
@@ -312,12 +316,6 @@ class Polynomial:
 
     __rmul__ = __mul__
 
-    def mul_term(self, m, c):
-        """Multiply by a single term c * m."""
-        if not c:
-            return Polynomial.zero(self.width)
-        return Polynomial(self.width, {mono_mul(mm, m): cc * c for mm, cc in self.terms.items()})
-
     # -- queries ------------------------------------------------------------
 
     @property
@@ -342,11 +340,8 @@ class Polynomial:
             raise PreconditionError("zero polynomial has no leading monomial")
         return max(self.terms, key=order.key)
 
-    def leading_coeff(self, order):
-        return self.terms[self.leading_monomial(order)]
-
     def monic(self, order):
-        lc = self.leading_coeff(order)
+        lc = self.terms[self.leading_monomial(order)]
         if lc == 1:
             return self
         inv = Fraction(1, 1) / lc
@@ -362,24 +357,6 @@ class Polynomial:
             (order.key(m) if order else m, Fraction(c).numerator, Fraction(c).denominator)
             for m, c in self.sorted_terms(order)
         )
-
-    # -- t extension --------------------------------------------------------
-
-    def with_t(self):
-        if width_has_t(self.width):
-            raise PreconditionError("ring already has t")
-        return Polynomial(self.width + 1, {m + (0,): c for m, c in self.terms.items()})
-
-    def drop_t(self):
-        if not width_has_t(self.width):
-            raise PreconditionError("ring has no t")
-        for m in self.terms:
-            if m[-1]:
-                raise PreconditionError("polynomial involves t")
-        return Polynomial(self.width - 1, {m[:-1]: c for m, c in self.terms.items()})
-
-    def t_free(self):
-        return all(m[-1] == 0 for m in self.terms) if width_has_t(self.width) else True
 
     # -- equality / hashing -------------------------------------------------
 
@@ -399,20 +376,16 @@ class Polynomial:
 # convenience builders
 # ---------------------------------------------------------------------------
 
-def x_poly(i, n, with_t=False):
-    return Polynomial.variable(width_for(n, with_t), x_index(i, n))
+def x_poly(i, n):
+    return Polynomial.variable(width_for(n), x_index(i, n))
 
 
-def y_poly(i, n, with_t=False):
-    return Polynomial.variable(width_for(n, with_t), y_index(i, n))
+def y_poly(i, n):
+    return Polynomial.variable(width_for(n), y_index(i, n))
 
 
-def t_poly(n):
-    return Polynomial.variable(width_for(n, True), t_index(n))
-
-
-def one_poly(n, with_t=False):
-    return Polynomial.constant(width_for(n, with_t), 1)
+def one_poly(n):
+    return Polynomial.constant(width_for(n), 1)
 
 
 def edge_binomial(i, j, n):

@@ -308,6 +308,36 @@ def test_saturation_by_bridging_binomial_initial_ideal():
         assert any(mono_divides(lm, m) for lm in left)
 
 
+def test_path_basis_check_rejects_a_basis_that_is_not_tail_reduced():
+    from vnum.edgeideals import _assert_reduced_groebner
+    from vnum.groebner import DEFAULT_LIMITS, GroebnerBasis
+
+    n = 2
+    order = MonomialOrder(n)
+    y1, x1 = y_poly(1, n), x_poly(1, n)
+    # coprime leading terms y1 < x1 make both lists Groebner bases, ascending
+    _assert_reduced_groebner(GroebnerBasis((y1, x1), order, reduced=True), DEFAULT_LIMITS)
+    untidy = GroebnerBasis((y1, x1 + y1), order, reduced=True)  # tail y1 reduces
+    assert is_groebner_basis(list(untidy.generators), order)
+    with pytest.raises(AssertionError, match="tail-reduced"):
+        _assert_reduced_groebner(untidy, DEFAULT_LIMITS)
+
+
+def test_every_division_of_a_prime_runs_under_its_deadline(monkeypatch):
+    import vnum.groebner as gr
+
+    deadlines = []
+    division = gr._nf_terms
+
+    def recording(terms, table, limits):
+        deadlines.append(limits.deadline)
+        return division(terms, table, limits)
+
+    monkeypatch.setattr(gr, "_nf_terms", recording)
+    vnumber(cycle_graph(5), with_oracle=True)
+    assert deadlines and None not in deadlines
+
+
 def test_vnumber_builds_the_jg_basis_once(monkeypatch):
     """The primes of one report share one basis of J_G; a prime whose build
     hits a limit records it, and the next prime builds the basis again."""

@@ -12,16 +12,19 @@ from vnum.graphs import complete_graph, path_graph
 from vnum.groebner import (
     Limits,
     ReducerTable,
+    _exact_quotient,
+    _row,
     buchberger,
     is_groebner_basis,
     normal_form,
+    pack_poly,
     s_polynomial,
+    unpack_poly,
 )
 from vnum.idealops import (
     NoNewElementError,
     colon_ideal,
     colon_poly,
-    exact_div,
     ideal_membership,
     initial_ideal,
     intersect,
@@ -210,11 +213,16 @@ def test_intersect_symmetric(small_connected_graphs):
 def test_exact_div():
     n = 3
     order = MonomialOrder(n)
+    guard = order.guard
     f = edge_binomial(1, 2, n)
-    p = (x_poly(3, n) + y_poly(1, n)) * f
-    assert exact_div(p, f, order) == x_poly(3, n) + y_poly(1, n)
+    q = x_poly(3, n) + y_poly(1, n)
+    p = pack_poly(q * f, order)
+    assert unpack_poly(_exact_quotient(p, _row(pack_poly(f, order), guard), guard), order) == q
+    # a leading coefficient other than 1 divides the quotient's coefficients
+    row2 = _row(pack_poly(2 * f, order), guard)
+    assert unpack_poly(_exact_quotient(p, row2, guard), order) == Fraction(1, 2) * q
     with pytest.raises(AssertionError):
-        exact_div(x_poly(1, n), f, order)
+        _exact_quotient(pack_poly(x_poly(1, n), order), row2, guard)
 
 
 def test_colon_poly_examples():
@@ -376,18 +384,31 @@ def test_exponent_overflow_raises_instead_of_wrapping():
 
 def test_division_checks_the_deadline():
     # x1^300 modulo x1 - y1 takes 301 division steps, past one clock check
-    from vnum.groebner import _nf_terms, _pack
+    from vnum.groebner import _nf_terms
 
     order = MonomialOrder(1)
     f = poly_from_text("x1^300", 1)
     table = ReducerTable(order, [poly_from_text("x1 - y1", 1)])
     expired = Limits(time_budget_secs=0.0).start_clock()
     with pytest.raises(ResourceLimitError, match="time budget"):
-        _nf_terms(_pack(f, order), table, expired)
-    # the public normal form runs without a deadline
+        _nf_terms(pack_poly(f, order), table, expired)
+    with pytest.raises(ResourceLimitError, match="time budget"):
+        normal_form(f, table, limits=expired)
+    # the public normal form runs without a deadline unless given one
     assert normal_form(f, table) == poly_from_text("y1^300", 1)
     # a short division finishes before its first check
-    assert _nf_terms(_pack(poly_from_text("x1^3", 1), order), table, expired)
+    assert _nf_terms(pack_poly(poly_from_text("x1^3", 1), order), table, expired)
+
+
+def test_a_polynomial_of_another_width_is_refused():
+    # packing zips exponents with field shifts, so a wider monomial would
+    # lose its last exponent without this check
+    order = MonomialOrder(2)
+    wide = poly_from_text("t*x1", 2, with_t=True)
+    with pytest.raises(PreconditionError, match="width"):
+        buchberger([wide], order)
+    with pytest.raises(PreconditionError, match="width"):
+        normal_form(wide, [x_poly(1, 2)], order)
 
 
 def test_unit_ideal_detection():
