@@ -14,7 +14,9 @@ Environment: VNUM_MAX_POLYS (basis size cap, default 20000), VNUM_MAX_DEGREE
 (degree cap, 40), VNUM_TIME_BUDGET_SECS (seconds per prime or gb run, 300) and
 VNUM_JOBS (worker processes for compute and cycle, 1).  Each must be a
 positive number, an integer except for the time budget; any other value
-exits 2 with an error line.
+exits 2 with an error line.  A prime's one time budget covers its
+domination and window searches, the pipeline, the certificate and the
+oracle.
 """
 
 from __future__ import annotations

@@ -18,7 +18,7 @@ import itertools
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import PreconditionError, ResourceLimitError
 from .graphs import (
@@ -37,7 +37,7 @@ from .groebner import (
     normal_form,
     reduce_basis,
 )
-from .idealops import colon_ideal, colon_poly, intersect, min_new_degree_candidates
+from .idealops import colon_ideal, colon_poly, intersect, min_new_degree
 from .matroids import cut_dependents, delta_family, min_transversal_weight
 from .poly import (
     MonomialOrder,
@@ -71,7 +71,7 @@ class PrimeComponent:
             (p.monic(order) for p in self.gens),
             key=lambda p: order.key(p.leading_monomial(order)),
         )
-        return GroebnerBasis(tuple(basis), order, reduced=True)
+        return GroebnerBasis(tuple(basis), order)
 
 
 def prime_component(g, s):
@@ -136,7 +136,7 @@ def admissible_path_basis(g, sigma=None, limits=DEFAULT_LIMITS):
                 u = u * (x_poly(w, g.n) if rank[w] > rank[j] else y_poly(w, g.n))
             gens[(i, j, interior)] = u * edge_binomial(i, j, g.n)
     basis = sorted(gens.values(), key=lambda p: order.key(p.leading_monomial(order)))
-    gb = GroebnerBasis(tuple(basis), order, reduced=True)
+    gb = GroebnerBasis(tuple(basis), order)
     _assert_reduced_groebner(gb, limits)
     return gb
 
@@ -176,14 +176,14 @@ def check_colon_equals_prime(g, f, s, limits=DEFAULT_LIMITS):
 @dataclass
 class GraphWork:
     """What the primes of one graph share within one report: its one cut
-    enumeration and the cut_dependents of it, the basis of J_G, built under
-    the clock of the first prime that needs it (a prime that hits a limit
-    leaves it for the next), and the colons (J_G : f) colon_ideal caches."""
+    enumeration and the cut_dependents of it, and the basis of J_G, built
+    under the clock of the first prime that needs it (a prime that hits a
+    limit leaves it for the next), which carries the colons (J_G : f) that
+    colon_ideal memoises."""
 
     cuts: list
     dependents: dict
     jg: GroebnerBasis | None = None
-    colons: dict = field(default_factory=dict)
 
     @classmethod
     def of(cls, g):
@@ -202,44 +202,42 @@ class GraphWork:
 def vnumber_at_prime(g, s, limits=DEFAULT_LIMITS, _work=None):
     """Localized v-number at P_S with a certified witness.
 
-    Computes (J_G : P_S), takes the least degree of a reduced-basis element
-    outside J_G, and only reports a witness whose colon is exactly P_S; for
-    the complete graph at the empty cut the ideal is already prime and the
-    value is 0 with witness 1.  _work is the report's GraphWork; without it
-    the cuts are enumerated here.
+    Computes (J_G : P_S) and takes min_new_degree's canonical witness, a
+    least-degree element of it outside J_G.  Any such f has (J_G : f) = P_S,
+    because J_G is radical: f P_S lies in J_G, so every minimal prime that
+    misses f contains P_S and, being minimal, is P_S.  The certificate
+    (J_G : f) = P_S is still checked, and its failure is an AssertionError.
+    For the complete graph at the empty cut the ideal is already prime and
+    the value is 0 with witness 1.  Runs under the clock of limits, started
+    here unless it already runs.  _work is the report's GraphWork; without
+    it the cuts are enumerated here.
     """
+    limits = limits.start_clock()
     work = GraphWork.of(g) if _work is None else _work
     s = work.record(s).s
-    limits = limits.start_clock() if limits.deadline is None else limits
     if s == frozenset() and g.is_complete():
         return 0, one_poly(g.n)
     order = MonomialOrder(g.n)
     if work.jg is None:
         work.jg = buchberger(edge_ideal_gens(g), order, limits)
-    jg = work.jg
-    pc = prime_component(g, s)
-    quot = colon_ideal(jg, list(pc.gens), order, limits, poly_colon_cache=work.colons)
+    quot = colon_ideal(work.jg, list(prime_component(g, s).gens), order, limits)
     # colon_ideal returns a reduced basis, so it goes in as one
-    quot_gb = GroebnerBasis(tuple(quot), order, reduced=True)
-    _, cands = min_new_degree_candidates(quot_gb, jg, order, limits)
-    for w in cands:
-        if check_colon_equals_prime(g, w, s, limits):
-            return w.degree(), w
-    raise AssertionError(
-        "no minimal-degree element certifies the prime; impossible for a "
-        "radical ideal at a minimal prime"
-    )
+    d, w = min_new_degree(GroebnerBasis(tuple(quot), order), work.jg, order, limits)
+    if not check_colon_equals_prime(g, w, s, limits):
+        raise AssertionError("(J_G : w) != P_S for the witness w; impossible as J_G is radical")
+    return d, w
 
 
 def oracle_vnumber_at_prime(g, s, limits=DEFAULT_LIMITS, _work=None):
     """Independent route: the colon at a minimal prime of a radical ideal is
     the intersection of the other minimal primes, so the v-number is the
     least degree of a spanning element of that intersection outside P_S.
+    Runs under the clock of limits, started here unless it already runs.
     _work is the report's GraphWork; without it the cuts are enumerated here.
     """
+    limits = limits.start_clock()
     work = GraphWork.of(g) if _work is None else _work
     s = work.record(s).s
-    limits = limits.start_clock() if limits.deadline is None else limits
     order = MonomialOrder(g.n)
     q = None
     for other in (rec.s for rec in work.cuts if rec.s != s):
@@ -251,7 +249,7 @@ def oracle_vnumber_at_prime(g, s, limits=DEFAULT_LIMITS, _work=None):
     # P_S is prime and Q is generated by homogeneous polynomials, so some
     # element of Q_d lies outside P_S exactly when a generator of degree
     # <= d does; any homogeneous generating set of Q will do
-    return min(g.degree() for g in q if not normal_form(g, target, limits=limits).is_zero)
+    return min(h.degree() for h in q if not normal_form(h, target, limits=limits).is_zero)
 
 
 # ---------------------------------------------------------------------------
@@ -321,9 +319,12 @@ def prime_entry(rec, g, work, limits, with_oracle, algebraic):
     work is the report's GraphWork, which rec comes from.  Runs the
     algebraic pipeline unless algebraic=False, which reports pure
     combinatorics and never touches the Groebner engine; a resource error
-    is captured in the entry.
+    is captured in the entry.  The prime's one clock starts here, so the
+    domination and window searches, the pipeline, its certificate and the
+    oracle share one time budget.
     """
     t0 = time.monotonic()
+    limits = limits.start_clock()
     comb = _combinatorial_value(g, rec)
     window = _window(g, rec, comb, work.dependents)
     v = witness = None

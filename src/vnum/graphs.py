@@ -186,6 +186,16 @@ def is_connected_dominating(g, b):
     return all(adj[v] & b for v in g.vertices - b)
 
 
+def connected_dominating_sets(g, within):
+    """Every subset of within that connect-dominates g, by size and then
+    lexicographically; within must be a set of vertices of g."""
+    verts = sorted(within)
+    for size in range(1, len(verts) + 1):
+        for combo in itertools.combinations(verts, size):
+            if is_connected_dominating(g, combo):
+                yield frozenset(combo)
+
+
 def gamma_c(g):
     """Connected domination number with its lexicographically least witness.
 
@@ -193,37 +203,30 @@ def gamma_c(g):
     vacuously); the search never needs the empty set.
     """
     _require_connected(g)
-    verts = sorted(g.vertices)
-    for size in range(1, len(verts) + 1):
-        for combo in itertools.combinations(verts, size):
-            if is_connected_dominating(g, combo):
-                return size, frozenset(combo)
-    raise AssertionError("a connected graph dominates itself")
+    witness = next(connected_dominating_sets(g, g.vertices))
+    return len(witness), witness
 
 
-def _side_domination(g, side, cut):
-    """Least subset of side that connect-dominates the graph induced on
-    side union cut; returns (size, lexicographically least witness)."""
-    h = induced_subgraph(g, frozenset(side) | frozenset(cut))
-    verts = sorted(side)
-    for size in range(1, len(verts) + 1):
-        for combo in itertools.combinations(verts, size):
-            if is_connected_dominating(h, combo):
-                return size, frozenset(combo)
-    raise AssertionError("the whole side always connect-dominates side plus cut")
+def two_cut_sides(g, s):
+    """The two components of g - s, sorted by least vertex; s must be a
+    minimal 2-cut."""
+    ok, k = is_minimal_kcut(g, s)
+    if not ok or k != 2:
+        raise PreconditionError(f"{sorted(s)} is not a minimal 2-cut")
+    return components_within(g, g.vertices - frozenset(s))
 
 
 def gamma_c_pair(g, s):
     """Least size of A inside V1 u V2 whose trace on each side
-    connect-dominates that side plus the cut; s must be a minimal 2-cut."""
+    connect-dominates that side plus the cut, with the union of each side's
+    lexicographically least witness; s must be a minimal 2-cut.  The whole
+    side always connect-dominates side plus cut, so each search succeeds."""
     s = frozenset(s)
-    ok, k = is_minimal_kcut(g, s)
-    if not ok or k != 2:
-        raise PreconditionError(f"{sorted(s)} is not a minimal 2-cut")
-    v1, v2 = components_within(g, g.vertices - s)
-    n1, w1 = _side_domination(g, v1, s)
-    n2, w2 = _side_domination(g, v2, s)
-    return n1 + n2, w1 | w2
+    w1, w2 = (
+        next(connected_dominating_sets(induced_subgraph(g, side | s), side))
+        for side in two_cut_sides(g, s)
+    )
+    return len(w1) + len(w2), w1 | w2
 
 
 # ---------------------------------------------------------------------------

@@ -69,7 +69,11 @@ class Limits:
     deadline: float | None = None
 
     def start_clock(self):
-        """Return a copy whose wall-clock deadline starts now."""
+        """Limits whose wall-clock deadline runs: self when its clock already
+        runs, else a copy whose deadline starts now.  So the first caller
+        starts a computation's one budget and every nested caller shares it."""
+        if self.deadline is not None:
+            return self
         return replace(self, deadline=time.monotonic() + self.time_budget_secs)
 
     def check_time(self):
@@ -82,9 +86,12 @@ DEFAULT_LIMITS = Limits()
 
 @dataclass(frozen=True)
 class GroebnerBasis:
+    """A reduced Groebner basis of one ideal for one order, ascending by
+    leading monomial, with what repeated work on that ideal shares: its
+    packed generators, its division table and its colons."""
+
     generators: tuple
     order: MonomialOrder
-    reduced: bool = False
 
     @property
     def contains_one(self):
@@ -99,6 +106,12 @@ class GroebnerBasis:
     def reducers(self):
         """The packed division table of the generators, built on first use."""
         return ReducerTable(self.order, self.generators)
+
+    @cached_property
+    def colons(self):
+        """{f: packed reduced basis of (I : f)}, filled by idealops.colon_ideal;
+        private to this ideal and order by construction."""
+        return {}
 
     def __iter__(self):
         return iter(self.generators)
@@ -332,7 +345,7 @@ def buchberger(gens, order, limits=DEFAULT_LIMITS):
     ResourceLimitError when a cap is exceeded, never a wrong answer.
     """
     basis = _buchberger([pack_poly(g, order) for g in gens if not g.is_zero], order, limits)
-    return GroebnerBasis(tuple(unpack_poly(p, order) for p in basis), order, reduced=True)
+    return GroebnerBasis(tuple(unpack_poly(p, order) for p in basis), order)
 
 
 def _buchberger(polys, order, limits):

@@ -33,7 +33,7 @@ class NoNewElementError(VnumError):
 def as_basis(gens, order, limits=DEFAULT_LIMITS):
     """Coerce a generator list (or an existing basis for the order) to a GB."""
     if isinstance(gens, GroebnerBasis):
-        if gens.order.same_as(order) and gens.reduced:
+        if gens.order.same_as(order):
             return gens
         gens = list(gens.generators)
     return buchberger(gens, order, limits)
@@ -73,14 +73,14 @@ def colon_poly(gens, f, order, limits=DEFAULT_LIMITS):
     return [unpack_poly(p, order) for p in packed_colon(gi, pack_poly(f, order), order, limits)]
 
 
-def colon_ideal(gens, pgens, order, limits=DEFAULT_LIMITS, poly_colon_cache=None):
+def colon_ideal(gens, pgens, order, limits=DEFAULT_LIMITS):
     """Generators (a reduced GB) of (I : P), folding (I : f) over f in P.
 
     Two exact shortcuts keep the fold cheap: a generator f already in I
     contributes the unit ideal, and a colon that the running intersection
-    is already contained in changes nothing.  poly_colon_cache, when given,
-    memoises (I : f), packed by order, by f and must be private to one
-    ideal I and one order.
+    is already contained in changes nothing.  Each (I : f) is memoised in
+    the colons of the basis of I, so calls that pass the same basis share
+    them.
     """
     pg = [p for p in pgens if not p.is_zero]
     if not pg:
@@ -88,7 +88,7 @@ def colon_ideal(gens, pgens, order, limits=DEFAULT_LIMITS, poly_colon_cache=None
     gb_i = as_basis(gens, order, limits)
     if not gb_i.generators:
         return []
-    table = gb_i.reducers
+    table, memo = gb_i.reducers, gb_i.colons
     result = None
     for f in sorted(pg, key=lambda p: (p.degree(), p.sort_key(order))):
         pf = pack_poly(f, order)
@@ -98,12 +98,9 @@ def colon_ideal(gens, pgens, order, limits=DEFAULT_LIMITS, poly_colon_cache=None
             not table.remainder(packed_product(h, pf, order), limits) for h in result
         ):
             continue  # current intersection already inside (I : f)
-        if poly_colon_cache is not None and f in poly_colon_cache:
-            cf = poly_colon_cache[f]
-        else:
-            cf = gb_i.packed if f.is_constant() else packed_colon(gb_i.packed, pf, order, limits)
-            if poly_colon_cache is not None:
-                poly_colon_cache[f] = cf
+        if f not in memo:
+            memo[f] = gb_i.packed if f.is_constant() else packed_colon(gb_i.packed, pf, order, limits)
+        cf = memo[f]
         result = cf if result is None else packed_intersection(result, cf, order, limits)
     if result is None:
         # every generator of P lies in I, hence P subset I and (I : P) = (1)
@@ -122,7 +119,7 @@ def initial_ideal(gb):
     The flag is a sufficient condition only: when every leading monomial is
     squarefree the ideal is radical.
     """
-    if not isinstance(gb, GroebnerBasis) or not gb.reduced:
+    if not isinstance(gb, GroebnerBasis):
         raise PreconditionError("initial_ideal needs a reduced Groebner basis")
     order = gb.order
     monos = []

@@ -16,10 +16,11 @@ from dataclasses import dataclass
 from .errors import NoTransversalError, PreconditionError
 from .graphs import (
     components_within,
+    connected_dominating_sets,
     enumerate_min_cuts,
     induced_subgraph,
-    is_connected_dominating,
     is_minimal_kcut,
+    two_cut_sides,
 )
 from .poly import edge_binomial, one_poly, xy_monomial
 
@@ -292,40 +293,19 @@ def transversal_ideal_generic(g, s):
     return _sorted_gens(gens, g.n)
 
 
-def _cut_sides(g, s):
-    s = frozenset(s)
-    ok, k = is_minimal_kcut(g, s)
-    if not ok or k != 2:
-        raise PreconditionError(f"{sorted(s)} is not a minimal 2-cut")
-    v1, v2 = components_within(g, g.vertices - s)
-    return v1, v2
-
-
-def _side_dominating_sets(g, side, cut, minimal_only):
-    """Subsets of side that connect-dominate the graph on side union cut."""
-    h = induced_subgraph(g, frozenset(side) | frozenset(cut))
-    verts = sorted(side)
-    all_sets = [
-        frozenset(combo)
-        for size in range(1, len(verts) + 1)
-        for combo in itertools.combinations(verts, size)
-        if is_connected_dominating(h, combo)
-    ]
-    if not minimal_only:
-        return all_sets
-    return [b for b in all_sets if not any(c < b for c in all_sets)]
-
-
 def pair_dominating_sets(g, s, minimal_only=True):
     """Elements of D_c(V1, V2): traces on each side connect-dominate that
     side plus the cut.  With minimal_only, just the inclusion-minimal ones
     (these are exactly the unions of minimal sets per side)."""
-    v1, v2 = _cut_sides(g, s)
-    out = []
-    for b1 in _side_dominating_sets(g, v1, s, minimal_only):
-        for b2 in _side_dominating_sets(g, v2, s, minimal_only):
-            out.append((b1, b2))
-    return v1, v2, out
+    s = frozenset(s)
+    v1, v2 = two_cut_sides(g, s)
+    per_side = []
+    for side in (v1, v2):
+        sets = list(connected_dominating_sets(induced_subgraph(g, side | s), side))
+        if minimal_only:
+            sets = [b for b in sets if not any(c < b for c in sets)]
+        per_side.append(sets)
+    return v1, v2, [(b1, b2) for b1 in per_side[0] for b2 in per_side[1]]
 
 
 def _cut_generators(g, s, minimal_only):

@@ -316,8 +316,8 @@ def test_path_basis_check_rejects_a_basis_that_is_not_tail_reduced():
     order = MonomialOrder(n)
     y1, x1 = y_poly(1, n), x_poly(1, n)
     # coprime leading terms y1 < x1 make both lists Groebner bases, ascending
-    _assert_reduced_groebner(GroebnerBasis((y1, x1), order, reduced=True), DEFAULT_LIMITS)
-    untidy = GroebnerBasis((y1, x1 + y1), order, reduced=True)  # tail y1 reduces
+    _assert_reduced_groebner(GroebnerBasis((y1, x1), order), DEFAULT_LIMITS)
+    untidy = GroebnerBasis((y1, x1 + y1), order)  # tail y1 reduces
     assert is_groebner_basis(list(untidy.generators), order)
     with pytest.raises(AssertionError, match="tail-reduced"):
         _assert_reduced_groebner(untidy, DEFAULT_LIMITS)
@@ -336,6 +336,79 @@ def test_every_division_of_a_prime_runs_under_its_deadline(monkeypatch):
     monkeypatch.setattr(gr, "_nf_terms", recording)
     vnumber(cycle_graph(5), with_oracle=True)
     assert deadlines and None not in deadlines
+
+
+def test_each_prime_runs_under_one_clock(monkeypatch):
+    """prime_entry starts each prime's clock, and the pipeline and the oracle
+    of that prime share it: one deadline per prime, none of them None."""
+    import vnum.edgeideals as ei
+
+    seen = {}
+
+    def recording(route):
+        def call(g, s, limits, _work=None):
+            seen.setdefault(frozenset(s), []).append(limits.deadline)
+            return route(g, s, limits, _work)
+        return call
+
+    monkeypatch.setattr(ei, "vnumber_at_prime", recording(ei.vnumber_at_prime))
+    monkeypatch.setattr(ei, "oracle_vnumber_at_prime", recording(ei.oracle_vnumber_at_prime))
+    rep = vnumber(cycle_graph(5), with_oracle=True)
+    assert len(seen) == len(rep.per_prime) == 6
+    for pipeline, oracle in seen.values():
+        assert pipeline is not None and pipeline == oracle
+    assert len({deadlines[0] for deadlines in seen.values()}) == 6
+
+
+def test_a_prime_computed_alone_divides_under_a_deadline(monkeypatch):
+    import vnum.groebner as gr
+
+    deadlines = []
+    division = gr._nf_terms
+
+    def recording(terms, table, limits):
+        deadlines.append(limits.deadline)
+        return division(terms, table, limits)
+
+    monkeypatch.setattr(gr, "_nf_terms", recording)
+    assert vnumber_at_prime(cycle_graph(5), {1, 3})[0] == 3
+    assert deadlines and None not in deadlines
+
+
+def test_colons_by_one_polynomial_are_memoised_on_the_jg_basis(monkeypatch):
+    """verify_cycle(6) folds 14 colons (J_G : f) for its 12 primes: the
+    basis of J_G keeps each one for the primes that need it again.  The 12
+    certificates add one colon each, and every prime keeps one witness."""
+    import vnum.edgeideals as ei
+    import vnum.groebner as gr
+    import vnum.idealops as ideal_ops
+    from vnum.cycles import verify_cycle
+
+    calls = {"fold": 0, "certificate": 0, "certified": 0, "runs": 0}
+    certifying = []
+
+    def counting_colon(*args):
+        calls["certificate" if certifying else "fold"] += 1
+        return packed_colon(*args)
+
+    def counting_certificate(*args):
+        calls["certified"] += 1
+        certifying.append(True)
+        try:
+            return certificate(*args)
+        finally:
+            certifying.pop()
+
+    def counting_runs(*args):
+        calls["runs"] += 1
+        return run(*args)
+
+    packed_colon, certificate, run = ideal_ops.packed_colon, ei.check_colon_equals_prime, gr._buchberger
+    monkeypatch.setattr(ideal_ops, "packed_colon", counting_colon)
+    monkeypatch.setattr(ei, "check_colon_equals_prime", counting_certificate)
+    monkeypatch.setattr(gr, "_buchberger", counting_runs)
+    verify_cycle(6)
+    assert calls == {"fold": 14, "certificate": 12, "certified": 12, "runs": 51}
 
 
 def test_vnumber_builds_the_jg_basis_once(monkeypatch):

@@ -14,6 +14,7 @@ from vnum.graphs import (
     complete_graph,
     components_within,
     connected_components,
+    connected_dominating_sets,
     enumerate_min_cuts,
     format_graph,
     gamma_c,
@@ -23,6 +24,7 @@ from vnum.graphs import (
     is_minimal_kcut,
     parse_graph,
     path_graph,
+    two_cut_sides,
 )
 from vnum.cycles import cycle_graph
 
@@ -182,6 +184,22 @@ def test_gamma_c_against_bruteforce(small_connected_graphs):
         size, witness = gamma_c(g)
         assert size == brute_gamma_c(g), sorted(g.edges)
         assert is_connected_dominating(g, witness)
+
+
+def test_connected_dominating_sets_come_by_size_then_lexicographically():
+    c5 = cycle_graph(5)
+    sets = list(connected_dominating_sets(c5, c5.vertices))
+    assert sets[:5] == [frozenset(b) for b in ([1, 2, 3], [1, 2, 5], [1, 4, 5], [2, 3, 4], [3, 4, 5])]
+    assert sets[-1] == c5.vertices and len(sets) == 11  # 5 triples, 5 quadruples, 1 whole
+    # a side dominates the graph on side plus cut, from inside the side
+    h = induced_subgraph(c5, {1, 2, 3, 4})
+    assert list(connected_dominating_sets(h, [2, 3])) == [frozenset({2, 3})]
+
+
+def test_two_cut_sides():
+    assert two_cut_sides(cycle_graph(6), [1, 4]) == [frozenset({2, 3}), frozenset({5, 6})]
+    with pytest.raises(PreconditionError):
+        two_cut_sides(cycle_graph(6), {1, 3, 5})
 
 
 def test_gamma_c_pair_examples():
