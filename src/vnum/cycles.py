@@ -19,8 +19,7 @@ from dataclasses import dataclass
 from .errors import PreconditionError, ResourceLimitError
 from .graphs import Graph
 from .groebner import DEFAULT_LIMITS, is_groebner_basis
-from .matroids import _sorted_gens
-from .poly import MonomialOrder, edge_binomial, one_poly, xy_monomial
+from .poly import MonomialOrder, edge_binomial, one_poly, sorted_generators, xy_monomial
 from .edgeideals import admissible_path_basis, vnumber
 
 
@@ -221,7 +220,7 @@ def cycle_transversal_ideal(n, s):
         for cset in itertools.combinations(free, r):
             dset = [v for v in free if v not in cset]
             gens.append(p * xy_monomial(cset, dset, n))
-    return _sorted_gens(gens, n)
+    return sorted_generators(gens)
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,7 @@ import itertools
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .errors import PreconditionError, ResourceLimitError
 from .graphs import (
@@ -35,10 +35,20 @@ from .groebner import (
     buchberger,
     is_groebner_basis,
     normal_form,
+    pack_poly,
+    packed_intersection,
+    packed_radical_sum,
     reduce_basis,
+    unpack_poly,
 )
-from .idealops import colon_ideal, colon_poly, intersect, min_new_degree
-from .matroids import cut_dependents, delta_family, min_transversal_weight
+from .idealops import colon_ideal, colon_poly, min_new_degree
+from .matroids import (
+    cut_dependents,
+    delta_family,
+    min_transversal_weight,
+    packed_concise_generators,
+    packed_transversal_generators,
+)
 from .poly import (
     MonomialOrder,
     Polynomial,
@@ -176,14 +186,18 @@ def check_colon_equals_prime(g, f, s, limits=DEFAULT_LIMITS):
 @dataclass
 class GraphWork:
     """What the primes of one graph share within one report: its one cut
-    enumeration and the cut_dependents of it, and the basis of J_G, built
-    under the clock of the first prime that needs it (a prime that hits a
-    limit leaves it for the next), which carries the colons (J_G : f) that
-    colon_ideal memoises."""
+    enumeration and the cut_dependents of it; the basis of J_G, built under
+    the clock of the first prime that needs it (a prime that hits a limit
+    leaves it for the next), which carries the colons (J_G : f) that
+    colon_ideal memoises; and the oracle's running intersections of the
+    primes, before[m] that of the first m + 1 cuts and after[m] that of the
+    last m + 1, each grown when first needed."""
 
     cuts: list
     dependents: dict
     jg: GroebnerBasis | None = None
+    before: list = field(default_factory=list)
+    after: list = field(default_factory=list)
 
     @classmethod
     def of(cls, g):
@@ -198,30 +212,84 @@ class GraphWork:
             raise PreconditionError(f"{sorted(s)} does not index a minimal prime")
         return rec
 
+    def others(self, g, rec, order, limits):
+        """Packed generators of the intersection of the primes of every cut
+        but rec's, None when rec's is the only cut: the running intersection
+        of the cuts before it met with that of the cuts after it.  A report
+        whose primes all ask needs about three intersections per prime; one
+        prime alone needs k - 2 of them for k cuts, each under limits."""
+        i = self.cuts.index(rec)
+        head = _running(self.before, self.cuts, i, g, order, limits)
+        tail = _running(self.after, self.cuts[::-1], len(self.cuts) - 1 - i, g, order, limits)
+        if head is None or tail is None:
+            return tail if head is None else head
+        return packed_intersection(head, tail, order, limits)
+
+
+def _running(chain, recs, count, g, order, limits):
+    """The intersection of the primes of recs[:count], None when count is 0;
+    chain[m] keeps that of recs[:m + 1] for the calls to come."""
+    while len(chain) < count:
+        p = [pack_poly(q, order) for q in prime_component(g, recs[len(chain)].s).gens]
+        chain.append(packed_intersection(chain[-1], p, order, limits) if chain else p)
+    return chain[count - 1] if count else None
+
+
+def _transversal_colon(g, rec, work, order, limits):
+    """The reduced basis of (J_G : P_S) by the paper's route, or None where
+    the route does not apply or cannot vouch for itself.
+
+    The paper gives (J_G : P_S) = sqrt(J_G + L_S), L_S the transversal ideal
+    of the delta family of S.  When every leading monomial of the reduced
+    basis of J_G + L_S is squarefree, the sum is radical, so that basis is
+    the colon's.  L_S is built from the generic generators at the empty cut
+    and from the concise ones, which give the same sum with J_G, at a cut
+    with two sides; the flag has held at every such prime measured, and at
+    no cut with three or more sides, which the route leaves to the fold.
+    """
+    if not rec.s:
+        gens = packed_transversal_generators(g, rec.s, work.dependents, order, limits)
+    elif rec.k == 2:
+        gens = packed_concise_generators(g, rec.s, order, limits)
+    else:
+        return None
+    basis = packed_radical_sum(work.jg, gens, limits)
+    return None if basis is None else [unpack_poly(p, order) for p in basis]
+
 
 def vnumber_at_prime(g, s, limits=DEFAULT_LIMITS, _work=None):
     """Localized v-number at P_S with a certified witness.
 
     Computes (J_G : P_S) and takes min_new_degree's canonical witness, a
-    least-degree element of it outside J_G.  Any such f has (J_G : f) = P_S,
-    because J_G is radical: f P_S lies in J_G, so every minimal prime that
-    misses f contains P_S and, being minimal, is P_S.  The certificate
-    (J_G : f) = P_S is still checked, and its failure is an AssertionError.
-    For the complete graph at the empty cut the ideal is already prime and
-    the value is 0 with witness 1.  Runs under the clock of limits, started
+    least-degree element of it outside J_G.  At the empty cut and the cuts
+    with two sides the colon is first sought as the basis of J_G + L_S (see
+    _transversal_colon); otherwise, or when that basis has a leading
+    monomial that is not squarefree, it is the fold of colon_ideal.  Both
+    give the reduced basis of one ideal, which is unique, so the witness is
+    the same either way.  Any such f has (J_G : f) = P_S, because J_G is
+    radical (Herzog, Hibi, Hreinsdottir, Kahle and Rauh, 2010): f P_S lies
+    in J_G, so every minimal prime that misses f contains P_S and, being
+    minimal, is P_S.  The certificate (J_G : f) = P_S is still checked, and
+    its failure is an AssertionError; at the primes the route serves, the
+    domination formulas also check the value independently.  For the
+    complete graph at the empty cut the ideal is already prime and the
+    value is 0 with witness 1.  Runs under the clock of limits, started
     here unless it already runs.  _work is the report's GraphWork; without
     it the cuts are enumerated here.
     """
     limits = limits.start_clock()
     work = GraphWork.of(g) if _work is None else _work
-    s = work.record(s).s
+    rec = work.record(s)
+    s = rec.s
     if s == frozenset() and g.is_complete():
         return 0, one_poly(g.n)
     order = MonomialOrder(g.n)
     if work.jg is None:
         work.jg = buchberger(edge_ideal_gens(g), order, limits)
-    quot = colon_ideal(work.jg, list(prime_component(g, s).gens), order, limits)
-    # colon_ideal returns a reduced basis, so it goes in as one
+    quot = _transversal_colon(g, rec, work, order, limits)
+    if quot is None:
+        quot = colon_ideal(work.jg, list(prime_component(g, s).gens), order, limits)
+    # either way a reduced basis, so it goes in as one
     d, w = min_new_degree(GroebnerBasis(tuple(quot), order), work.jg, order, limits)
     if not check_colon_equals_prime(g, w, s, limits):
         raise AssertionError("(J_G : w) != P_S for the witness w; impossible as J_G is radical")
@@ -232,24 +300,21 @@ def oracle_vnumber_at_prime(g, s, limits=DEFAULT_LIMITS, _work=None):
     """Independent route: the colon at a minimal prime of a radical ideal is
     the intersection of the other minimal primes, so the v-number is the
     least degree of a spanning element of that intersection outside P_S.
-    Runs under the clock of limits, started here unless it already runs.
-    _work is the report's GraphWork; without it the cuts are enumerated here.
+    The intersections come from the report's GraphWork, which keeps them
+    for the primes to come.  Runs under the clock of limits, started here
+    unless it already runs.  _work is the report's GraphWork; without it the
+    cuts are enumerated here.
     """
     limits = limits.start_clock()
     work = GraphWork.of(g) if _work is None else _work
-    s = work.record(s).s
+    rec = work.record(s)
     order = MonomialOrder(g.n)
-    q = None
-    for other in (rec.s for rec in work.cuts if rec.s != s):
-        pgens = list(prime_component(g, other).gens)
-        q = pgens if q is None else intersect(q, pgens, order, limits)
-    if q is None:
-        q = [one_poly(g.n)]
-    target = prime_component(g, s).groebner(order)
+    q = work.others(g, rec, order, limits) or [{0: 1}]
+    target = prime_component(g, rec.s).groebner(order).reducers
     # P_S is prime and Q is generated by homogeneous polynomials, so some
     # element of Q_d lies outside P_S exactly when a generator of degree
     # <= d does; any homogeneous generating set of Q will do
-    return min(h.degree() for h in q if not normal_form(h, target, limits=limits).is_zero)
+    return min(order.packed_degree(max(h)) for h in q if target.remainder(h, limits))
 
 
 # ---------------------------------------------------------------------------

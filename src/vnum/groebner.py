@@ -52,6 +52,7 @@ from .poly import (
     MonomialOrder,
     Polynomial,
     packed_divides,
+    packed_is_squarefree,
     packed_lcm,
 )
 
@@ -453,6 +454,22 @@ def is_groebner_basis(polys, order, skip_coprime=True, limits=DEFAULT_LIMITS):
     return True
 
 
+def packed_radical_sum(gb, qs, limits):
+    """The reduced basis of I + (qs), for the reduced basis gb of I and
+    packed qs, when all its leading monomials are squarefree, which makes
+    the sum radical; None when one is not.  Each q enters reduced modulo
+    gb, and the zeros and repeats are dropped."""
+    extra = {}
+    for q in qs:
+        r = gb.reducers.remainder(q, limits)
+        if r:
+            extra[frozenset(r.items())] = r
+    basis = _buchberger(gb.packed + list(extra.values()), gb.order, limits)
+    if all(packed_is_squarefree(max(p), gb.order.guard) for p in basis):
+        return basis
+    return None
+
+
 # ---------------------------------------------------------------------------
 # the auxiliary variable t: intersection, colon and radical membership
 # ---------------------------------------------------------------------------
@@ -507,3 +524,4 @@ def packed_radical_contains(ps, f, order, limits):
     """Rabinowitsch test: f lies in the radical of (ps) iff 1 in (ps, 1 - t*f)."""
     eorder, t = _t_extension(order)
     return _buchberger(ps + [{0: 1, **_times_t(f, t, -1)}], eorder, limits) == [{0: 1}]
+

@@ -22,7 +22,15 @@ from .graphs import (
     is_minimal_kcut,
     two_cut_sides,
 )
-from .poly import edge_binomial, one_poly, xy_monomial
+from .groebner import DEFAULT_LIMITS, pack_poly, packed_product, unpack_poly
+from .poly import (
+    MonomialOrder,
+    edge_binomial,
+    monomial,
+    sorted_generators,
+    x_index,
+    y_index,
+)
 
 
 @dataclass(frozen=True)
@@ -254,43 +262,56 @@ def minimal_transversals(family):
 # generators of the transversal ideal
 # ---------------------------------------------------------------------------
 
-def _pair_product(pairs, n):
-    p = one_poly(n)
-    for e in sorted(pairs, key=_element_key):
-        i, j = sorted(e)
-        p = p * edge_binomial(i, j, n)
-    return p
+def _split_products(base, free, order):
+    """base * g_{C,D}, packed by order, over the splits of the vertices free
+    into C and D: one generator per split."""
+    n, w = order.n, order.width
+    choices = [
+        (order.pack(monomial(w, {x_index(v, n): 1})), order.pack(monomial(w, {y_index(v, n): 1})))
+        for v in free
+    ]
+    for picks in itertools.product(*choices):
+        shift = sum(picks)
+        yield {m + shift: c for m, c in base.items()}
 
 
-def generator_for(transversal_elements, cset, dset, n):
-    """g = prod_C x * prod_D y * prod_pairs (x_i y_j - x_j y_i)."""
-    t = _split(transversal_elements)
-    return xy_monomial(cset, dset, n) * _pair_product(t.pairs, n)
+def _distinct(polys):
+    """Packed polynomials without repeats, in first-seen order."""
+    return list({frozenset(p.items()): p for p in polys}.values())
 
 
-def _sorted_gens(gens, n):
-    uniq = sorted(set(gens), key=lambda p: (p.degree(), p.sort_key()))
-    return uniq
+def _unpacked(packed, order):
+    return sorted_generators(unpack_poly(p, order) for p in packed)
 
 
-def transversal_ideal_generic(g, s):
-    """Generators over the inclusion-minimal transversals of the family.
+def packed_transversal_generators(g, s, dependents, order, limits=DEFAULT_LIMITS):
+    """The generators of the transversal ideal L_S, packed by order and
+    without repeats: for each inclusion-minimal transversal of the delta
+    family of S, the product of the binomials f_{i,j} of its pairs times
+    g_{C,D} for every split of its singletons into C and D.
 
     Any transversal contains a minimal one and its generator is then a
     multiple of the minimal one's, so restricting to minimal transversals
     leaves the ideal unchanged.  The empty family (no other minimal primes)
-    gives the unit ideal.
+    gives the unit ideal.  dependents is as for delta_family; the build runs
+    under the deadline of limits.
     """
-    fam = delta_family(g, s)
     gens = []
-    for elements in minimal_transversals(fam):
+    for elements in minimal_transversals(delta_family(g, s, dependents)):
+        limits.check_time()
+        base = {0: 1}
         t = _split(elements)
-        singles = sorted(t.singles)
-        for r in range(len(singles) + 1):
-            for cset in itertools.combinations(singles, r):
-                dset = [v for v in singles if v not in cset]
-                gens.append(generator_for(elements, cset, dset, g.n))
-    return _sorted_gens(gens, g.n)
+        for pair in t.pairs:
+            base = packed_product(base, pack_poly(edge_binomial(*sorted(pair), g.n), order), order)
+        gens.extend(_split_products(base, sorted(t.singles), order))
+    return _distinct(gens)
+
+
+def transversal_ideal_generic(g, s, dependents=None):
+    """packed_transversal_generators as Polynomials under the default order,
+    sorted by degree and then canonical key."""
+    order = MonomialOrder(g.n)
+    return _unpacked(packed_transversal_generators(g, s, dependents, order), order)
 
 
 def pair_dominating_sets(g, s, minimal_only=True):
@@ -308,35 +329,43 @@ def pair_dominating_sets(g, s, minimal_only=True):
     return v1, v2, [(b1, b2) for b1 in per_side[0] for b2 in per_side[1]]
 
 
-def _cut_generators(g, s, minimal_only):
-    n = g.n
+def _cut_generators(g, s, minimal_only, order, limits):
+    """g_{C,D} * f_{i,j}, packed by order and without repeats, over the
+    members (B1, B2) of D_c(V1, V2), or its inclusion-minimal ones, every i
+    in B1 and j in B2, and every split C, D of the rest of B1 u B2; the
+    build runs under the deadline of limits."""
     _, _, doms = pair_dominating_sets(g, s, minimal_only)
-    gens = set()
+    gens = []
     for b1, b2 in doms:
-        a = sorted(b1 | b2)
+        limits.check_time()
         for i in sorted(b1):
             for j in sorted(b2):
-                rest = [v for v in a if v != i and v != j]
-                for r in range(len(rest) + 1):
-                    for cset in itertools.combinations(rest, r):
-                        dset = [v for v in rest if v not in cset]
-                        lo, hi = min(i, j), max(i, j)
-                        gens.add(xy_monomial(cset, dset, n) * edge_binomial(lo, hi, n))
-    return _sorted_gens(gens, n)
+                f = pack_poly(edge_binomial(min(i, j), max(i, j), g.n), order)
+                gens.extend(_split_products(f, sorted((b1 | b2) - {i, j}), order))
+    return _distinct(gens)
 
 
-def concise_cut_generators(g, s):
-    """g_{C,D} * f_{i,j} over the inclusion-minimal members of D_c(V1, V2).
+def packed_concise_generators(g, s, order, limits=DEFAULT_LIMITS):
+    """g_{C,D} * f_{i,j} over the inclusion-minimal members of D_c(V1, V2),
+    packed by order and without repeats.
 
     Together with the edge ideal this generates the same ideal as the
     generic transversal generators (the concise generating set); on its own
     it may be smaller.
     """
-    return _cut_generators(g, s, minimal_only=True)
+    return _cut_generators(g, s, True, order, limits)
+
+
+def concise_cut_generators(g, s):
+    """packed_concise_generators as Polynomials under the default order,
+    sorted by degree and then canonical key."""
+    order = MonomialOrder(g.n)
+    return _unpacked(packed_concise_generators(g, s, order), order)
 
 
 def cut_generators_full(g, s):
     """Same recipe over every member of D_c(V1, V2); this is the finite
     generating set whose union with the admissible-path basis is checked
     against the Buchberger criterion."""
-    return _cut_generators(g, s, minimal_only=False)
+    order = MonomialOrder(g.n)
+    return _unpacked(_cut_generators(g, s, False, order, DEFAULT_LIMITS), order)

@@ -129,6 +129,11 @@ def packed_lcm(a, b, guard):
     return b ^ ((a ^ b) & (ge - (ge >> (FIELD_BITS - 1))))
 
 
+def packed_is_squarefree(a, guard):
+    """Every exponent of a is at most 1: no bit above the lowest of a field."""
+    return not a & ~(guard >> (FIELD_BITS - 1))
+
+
 def monomial(width, exps):
     """Build a monomial from a {variable slot: exponent} map."""
     m = [0] * width
@@ -410,6 +415,11 @@ def xy_monomial(cset, dset, n):
         exps[v] = exps.get(v, 0) + 1
     w = width_for(n)
     return Polynomial(w, {monomial(w, exps): 1})
+
+
+def sorted_generators(gens):
+    """The distinct polynomials of gens, by degree and then canonical key."""
+    return sorted(set(gens), key=lambda p: (p.degree(), p.sort_key()))
 
 
 # ---------------------------------------------------------------------------

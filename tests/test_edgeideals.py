@@ -376,15 +376,19 @@ def test_a_prime_computed_alone_divides_under_a_deadline(monkeypatch):
 
 
 def test_colons_by_one_polynomial_are_memoised_on_the_jg_basis(monkeypatch):
-    """verify_cycle(6) folds 14 colons (J_G : f) for its 12 primes: the
-    basis of J_G keeps each one for the primes that need it again.  The 12
-    certificates add one colon each, and every prime keeps one witness."""
+    """verify_cycle(6) builds J_G in one Buchberger run and takes the
+    transversal route, one run each, at its empty cut and its nine 2-cuts.
+    Its two 3-cuts share no generator, so each folds its own three colons
+    (J_G : f) and intersects them in two runs.  The 12 certificates add one
+    colon, and one run, each.  On C_7 the 3-cuts {1,3,5} and {1,3,6} share
+    x1, y1, x3 and y3, and the second folds only its one new colon: the
+    basis of J_G keeps the others."""
     import vnum.edgeideals as ei
     import vnum.groebner as gr
     import vnum.idealops as ideal_ops
     from vnum.cycles import verify_cycle
 
-    calls = {"fold": 0, "certificate": 0, "certified": 0, "runs": 0}
+    calls = {"fold": 0, "certificate": 0, "certified": 0, "runs": 0, "route": 0}
     certifying = []
 
     def counting_colon(*args):
@@ -403,12 +407,54 @@ def test_colons_by_one_polynomial_are_memoised_on_the_jg_basis(monkeypatch):
         calls["runs"] += 1
         return run(*args)
 
+    def counting_route(*args):
+        basis = route(*args)
+        calls["route"] += basis is not None
+        return basis
+
     packed_colon, certificate, run = ideal_ops.packed_colon, ei.check_colon_equals_prime, gr._buchberger
+    route = ei._transversal_colon
     monkeypatch.setattr(ideal_ops, "packed_colon", counting_colon)
     monkeypatch.setattr(ei, "check_colon_equals_prime", counting_certificate)
     monkeypatch.setattr(gr, "_buchberger", counting_runs)
+    monkeypatch.setattr(ei, "_transversal_colon", counting_route)
     verify_cycle(6)
-    assert calls == {"fold": 14, "certificate": 12, "certified": 12, "runs": 51}
+    assert calls == {"fold": 6, "certificate": 12, "certified": 12, "runs": 33, "route": 10}
+
+    g = cycle_graph(7)
+    work = ei.GraphWork.of(g)
+    folds = []
+    for s in ({1, 3, 5}, {1, 3, 6}):
+        before = calls["fold"]
+        vnumber_at_prime(g, s, _work=work)
+        folds.append(calls["fold"] - before)
+    assert folds == [3, 1]
+    assert len(work.jg.colons) == 4
+
+
+def test_oracle_shares_its_intersections_within_a_report(monkeypatch):
+    """The oracle meets the running intersections of the cuts before and
+    after each prime, kept on the report's GraphWork: a serial report of
+    k = 12 primes makes 3k - 6 intersections, not k(k - 2) = 120, and a
+    prime alone makes k - 2, as a pool task does."""
+    import vnum.edgeideals as ei
+
+    made = []
+
+    def counting(*args):
+        made.append(1)
+        return intersection(*args)
+
+    intersection = ei.packed_intersection
+    monkeypatch.setattr(ei, "packed_intersection", counting)
+    g = cycle_graph(6)
+    report = vnumber(g, with_oracle=True)
+    assert len(made) == 3 * 12 - 6
+    assert all(e.oracle_ok for e in report.per_prime)
+    for s in (frozenset(), frozenset({1, 3, 5}), frozenset({4, 6})):
+        made.clear()
+        assert oracle_vnumber_at_prime(g, s) == report.entry(s).v
+        assert len(made) == 12 - 2
 
 
 def test_vnumber_builds_the_jg_basis_once(monkeypatch):

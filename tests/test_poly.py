@@ -16,10 +16,12 @@ from vnum.poly import (
     mono_degree,
     mono_div,
     mono_divides,
+    mono_is_squarefree,
     mono_lcm,
     mono_mul,
     one_poly,
     packed_divides,
+    packed_is_squarefree,
     packed_lcm,
     poly_from_text,
     poly_to_text,
@@ -196,6 +198,7 @@ def test_packed_monomials_match_the_tuple_helpers(data):
     assert order.unpack(pa) == a and not pa & guard
     assert (pa < pb) == (order.key(a) < order.key(b))
     assert order.packed_degree(pa) == mono_degree(a)
+    assert packed_is_squarefree(pa, guard) == mono_is_squarefree(a)
     assert packed_divides(pa, pb, guard) == mono_divides(a, b)
     if mono_divides(a, b):
         assert pb - pa == order.pack(mono_div(b, a))
