@@ -244,8 +244,10 @@ def _transversal_colon(g, rec, work, order, limits):
     basis of J_G + L_S is squarefree, the sum is radical, so that basis is
     the colon's.  L_S is built from the generic generators at the empty cut
     and from the concise ones, which give the same sum with J_G, at a cut
-    with two sides; the flag has held at every such prime measured, and at
-    no cut with three or more sides, which the route leaves to the fold.
+    with two sides, where they are far fewer (2,240 against 6,788 over the
+    two-sided cuts of C_8); the flag has held at every such prime measured,
+    and at no cut with three or more sides, which the route leaves to the
+    fold.
     """
     if not rec.s:
         gens = packed_transversal_generators(g, rec.s, work.dependents, order, limits)

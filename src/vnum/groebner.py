@@ -524,4 +524,3 @@ def packed_radical_contains(ps, f, order, limits):
     """Rabinowitsch test: f lies in the radical of (ps) iff 1 in (ps, 1 - t*f)."""
     eorder, t = _t_extension(order)
     return _buchberger(ps + [{0: 1, **_times_t(f, t, -1)}], eorder, limits) == [{0: 1}]
-

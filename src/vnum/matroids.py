@@ -307,11 +307,11 @@ def packed_transversal_generators(g, s, dependents, order, limits=DEFAULT_LIMITS
     return _distinct(gens)
 
 
-def transversal_ideal_generic(g, s, dependents=None):
+def transversal_ideal_generic(g, s):
     """packed_transversal_generators as Polynomials under the default order,
     sorted by degree and then canonical key."""
     order = MonomialOrder(g.n)
-    return _unpacked(packed_transversal_generators(g, s, dependents, order), order)
+    return _unpacked(packed_transversal_generators(g, s, None, order), order)
 
 
 def pair_dominating_sets(g, s, minimal_only=True):
