@@ -157,13 +157,8 @@ def cmd_cycle(ns, limits, jobs, out):
     n = ns.n
     if ns.bounds:  # pure arithmetic, no algebra
         lo, hi = global_bounds(n)
-        doc = {
-            "version": __version__,
-            "input": {"n": n, "edges": [list(e) for e in sorted(cycle_graph(n).edges)]},
-            "primes": [],
-            "global": {"v": lo if lo == hi else None, "argmin_s": None},
-            "window": _window_json(lo, hi),
-        }
+        doc = report_document(cycle_graph(n), [], lo if lo == hi else None, None)
+        doc["window"] = _window_json(lo, hi)
         if ns.json:
             out.write(render_json(doc))
         else:

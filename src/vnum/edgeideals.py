@@ -244,10 +244,17 @@ def _transversal_colon(g, rec, work, order, limits):
     basis of J_G + L_S is squarefree, the sum is radical, so that basis is
     the colon's.  L_S is built from the generic generators at the empty cut
     and from the concise ones, which give the same sum with J_G, at a cut
-    with two sides, where they are far fewer (2,240 against 6,788 over the
-    two-sided cuts of C_8); the flag has held at every such prime measured,
-    and at no cut with three or more sides, which the route leaves to the
-    fold.
+    with two sides, where they are far fewer and faster to build and sum
+    with J_G.  Build and sum over all two-sided cuts, on a 2-vCPU machine
+    (builder_totals in tests/test_transversal_route.py):
+
+        cycle  concise builder          generic builder
+        C_8    0.16 s,  2,240 gens      0.71 s,   6,788 gens
+        C_9    0.59 s,  8,064 gens      6.27 s,  37,215 gens
+        C_10   1.97 s, 26,880 gens     59.4 s,  204,380 gens
+
+    The flag has held at every such prime measured, for both builders, and
+    at no cut with three or more sides, which the route leaves to the fold.
     """
     if not rec.s:
         gens = packed_transversal_generators(g, rec.s, work.dependents, order, limits)
@@ -394,22 +401,18 @@ def prime_entry(rec, g, work, limits, with_oracle, algebraic):
     limits = limits.start_clock()
     comb = _combinatorial_value(g, rec)
     window = _window(g, rec, comb, work.dependents)
-    v = witness = None
+    v = witness = oracle_v = oracle_ok = None
     status, detail = "ok", ""
     if algebraic:
         try:
             v, witness = vnumber_at_prime(g, rec.s, limits, _work=work)
+            if with_oracle:
+                oracle_v = oracle_vnumber_at_prime(g, rec.s, limits, _work=work)
+                oracle_ok = oracle_v == v
         except ResourceLimitError as exc:
             status, detail = "resource-limit", str(exc)
     else:
         v = comb
-    oracle_v = oracle_ok = None
-    if with_oracle and algebraic and status == "ok":
-        try:
-            oracle_v = oracle_vnumber_at_prime(g, rec.s, limits, _work=work)
-            oracle_ok = oracle_v == v
-        except ResourceLimitError as exc:
-            status, detail = "resource-limit", str(exc)
     agree = comb == v if comb is not None and v is not None else None
     return PrimeResult(
         s=rec.s,

@@ -385,7 +385,7 @@ def _buchberger(polys, order, limits):
     while queue:
         i, j = heapq.heappop(queue)[2]
         l = live.pop((i, j), None)
-        if l is None or l == lms[i] + lms[j]:  # pruned, or coprime
+        if l is None:  # pruned
             continue
         limits.check_time()
         h = _nf_terms(_spoly(rows[i], rows[j], l, guard), table, limits)
@@ -402,8 +402,6 @@ def _reduce(polys, order, limits):
     """The reduced basis of a Groebner basis of nonzero packed polynomials,
     ascending by leading monomial."""
     monic = sorted(map(_monic, polys), key=max)
-    if monic and max(monic[0]) == 0:  # a constant, the least leading term
-        return [{0: 1}]
     guard = order.guard
     minimal = []
     min_lms = []

@@ -184,8 +184,6 @@ def min_transversal_weight(family):
     toward the lexicographically least element set.
     """
     members = [frozenset(m) for m in family.members]
-    if not members:
-        return 0, Transversal(frozenset(), frozenset())
     if any(not m for m in members):
         raise NoTransversalError("a family member is empty; no transversal exists")
 
@@ -231,8 +229,6 @@ def min_transversal_weight(family):
 def minimal_transversals(family):
     """All inclusion-minimal transversals, canonically sorted."""
     members = sorted((frozenset(m) for m in family.members), key=lambda m: (len(m), _set_key(m)))
-    if not members:
-        return [frozenset()]
     if any(not m for m in members):
         raise NoTransversalError("a family member is empty; no transversal exists")
     found = set()
@@ -319,14 +315,13 @@ def pair_dominating_sets(g, s, minimal_only=True):
     side plus the cut.  With minimal_only, just the inclusion-minimal ones
     (these are exactly the unions of minimal sets per side)."""
     s = frozenset(s)
-    v1, v2 = two_cut_sides(g, s)
     per_side = []
-    for side in (v1, v2):
+    for side in two_cut_sides(g, s):
         sets = list(connected_dominating_sets(induced_subgraph(g, side | s), side))
         if minimal_only:
             sets = [b for b in sets if not any(c < b for c in sets)]
         per_side.append(sets)
-    return v1, v2, [(b1, b2) for b1 in per_side[0] for b2 in per_side[1]]
+    return [(b1, b2) for b1 in per_side[0] for b2 in per_side[1]]
 
 
 def _cut_generators(g, s, minimal_only, order, limits):
@@ -334,9 +329,8 @@ def _cut_generators(g, s, minimal_only, order, limits):
     members (B1, B2) of D_c(V1, V2), or its inclusion-minimal ones, every i
     in B1 and j in B2, and every split C, D of the rest of B1 u B2; the
     build runs under the deadline of limits."""
-    _, _, doms = pair_dominating_sets(g, s, minimal_only)
     gens = []
-    for b1, b2 in doms:
+    for b1, b2 in pair_dominating_sets(g, s, minimal_only):
         limits.check_time()
         for i in sorted(b1):
             for j in sorted(b2):

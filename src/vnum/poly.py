@@ -1,16 +1,16 @@
-"""Exact sparse multivariate polynomials in x_1..x_n, y_1..y_n (and t).
+"""Exact sparse multivariate polynomials in x_1..x_n, y_1..y_n.
 
-The ambient ring for a graph on n vertices has 2n variables; ideal
-operations that eliminate introduce one auxiliary variable t.  A monomial
-is a dense exponent tuple whose width is 2n (or 2n+1 when t is present),
-coefficients are exact rationals stored as int when integral and
-fractions.Fraction otherwise.  No floating point enters this module.
+The ambient ring for a graph on n vertices has 2n variables.  A monomial
+is a dense exponent tuple of width 2n; coefficients are exact rationals
+stored as int when integral and fractions.Fraction otherwise.  No floating
+point enters this module.
 
 Inside the Groebner engine a monomial is instead one int, packed by its
 MonomialOrder (see MonomialOrder.pack and the packed_* helpers).  This
 module owns the layout, groebner the kernels and the conversion of
-Polynomials (pack_poly, unpack_poly).  With elim_t, t takes the field above
-the x and y fields, which keep the fields they have without t.
+Polynomials (pack_poly, unpack_poly).  The auxiliary variable t of the
+engine's eliminations exists only there: with elim_t, t takes the field
+above the x and y fields, which keep the fields they have without t.
 """
 
 from __future__ import annotations
@@ -26,18 +26,9 @@ from .errors import GraphFormatError, PreconditionError, ResourceLimitError
 # variable indexing
 # ---------------------------------------------------------------------------
 
-def width_for(n, with_t=False):
+def width_for(n):
     """Number of exponent slots for the ring on n vertices."""
-    return 2 * n + (1 if with_t else 0)
-
-
-def ring_size(width):
-    """Recover n from a monomial width (t occupies the odd slot)."""
-    return width // 2
-
-
-def width_has_t(width):
-    return width % 2 == 1
+    return 2 * n
 
 
 def x_index(i, n):
@@ -53,17 +44,9 @@ def y_index(i, n):
     return n + i - 1
 
 
-def t_index(n):
-    return 2 * n
-
-
 def variable_name(v, width):
-    n = ring_size(width)
-    if v < n:
-        return f"x{v + 1}"
-    if v < 2 * n:
-        return f"y{v - n + 1}"
-    return "t"
+    n = width // 2
+    return f"x{v + 1}" if v < n else f"y{v - n + 1}"
 
 
 # ---------------------------------------------------------------------------
@@ -171,7 +154,7 @@ class MonomialOrder:
         self.n = n
         self.sigma = sigma
         self.elim_t = bool(elim_t)
-        self.width = width_for(n, elim_t)
+        self.width = width_for(n) + self.elim_t
         # x-slot of the greatest variable first; sigma[j] is the rank of vertex j+1
         xs = sorted(range(n), key=lambda j: sigma[j])
         head = (2 * n,) if elim_t else ()
@@ -304,8 +287,6 @@ class Polynomial:
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            if not other:
-                return Polynomial.zero(self.width)
             return Polynomial(self.width, {m: c * other for m, c in self.terms.items()})
         self._check(other)
         res = {}
@@ -353,7 +334,7 @@ class Polynomial:
         return Polynomial(self.width, {m: c * inv for m, c in self.terms.items()})
 
     def sorted_terms(self, order=None):
-        order = order or MonomialOrder(ring_size(self.width), elim_t=width_has_t(self.width))
+        order = order or MonomialOrder(self.width // 2)
         return sorted(self.terms.items(), key=lambda mc: order.key(mc[0]), reverse=True)
 
     def sort_key(self, order=None):
@@ -426,7 +407,7 @@ def sorted_generators(gens):
 # text format: "3/2*x1^2*y3 - x2*y4"
 # ---------------------------------------------------------------------------
 
-_FACTOR_RE = re.compile(r"^(x|y|t)(\d*)(?:\^(\d+))?$")
+_FACTOR_RE = re.compile(r"^(x|y)(\d*)(?:\^(\d+))?$")
 _NUMBER_RE = re.compile(r"^\d+(?:/\d+)?$")
 
 
@@ -441,7 +422,7 @@ def poly_to_text(p):
             if e:
                 name = variable_name(v, p.width)
                 factors.append(name if e == 1 else f"{name}^{e}")
-        mag = abs(c) if isinstance(c, int) else abs(c)
+        mag = abs(c)
         if not factors:
             body = str(mag)
         elif mag == 1:
@@ -457,9 +438,10 @@ def poly_to_text(p):
     return out
 
 
-def poly_from_text(text, n, with_t=False):
-    """Parse the text format; whitespace-insensitive; inverse of poly_to_text."""
-    width = width_for(n, with_t)
+def poly_from_text(text, n):
+    """Parse the text format, variables x_i and y_i only; whitespace-insensitive;
+    inverse of poly_to_text."""
+    width = width_for(n)
     s = text.replace(" ", "").replace("\t", "")
     if not s:
         raise GraphFormatError("empty polynomial text")
@@ -485,19 +467,12 @@ def poly_from_text(text, n, with_t=False):
                 raise GraphFormatError(f"bad factor {factor!r} in {text!r}")
             kind, idx, exp = m.group(1), m.group(2), m.group(3)
             e = int(exp) if exp else 1
-            if kind == "t":
-                if idx:
-                    raise GraphFormatError(f"bad factor {factor!r}: t takes no index")
-                if not with_t:
-                    raise GraphFormatError("t not allowed in this ring")
-                v = t_index(n)
-            else:
-                if not idx:
-                    raise GraphFormatError(f"bad factor {factor!r}: missing index")
-                i = int(idx)
-                if not 1 <= i <= n:
-                    raise GraphFormatError(f"variable {factor!r} outside ring on {n} vertices")
-                v = x_index(i, n) if kind == "x" else y_index(i, n)
+            if not idx:
+                raise GraphFormatError(f"bad factor {factor!r}: missing index")
+            i = int(idx)
+            if not 1 <= i <= n:
+                raise GraphFormatError(f"variable {factor!r} outside ring on {n} vertices")
+            v = x_index(i, n) if kind == "x" else y_index(i, n)
             exps[v] = exps.get(v, 0) + e
         m = monomial(width, exps)
         nc = terms.get(m, 0) + coeff

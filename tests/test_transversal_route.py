@@ -5,6 +5,11 @@ non-complete graph on at most 7 vertices:
 
     PYTHONPATH=src:tests python -c "import test_transversal_route as t; \\
         print(t.compare(t.atlas_graphs(7)))"
+
+and time the two builders of L_S at the two-sided cuts of C_8, C_9, C_10:
+
+    PYTHONPATH=src:tests python -c "import test_transversal_route as t; \\
+        [print(n, t.builder_totals(t.cycle_graph(n))) for n in (8, 9, 10)]"
 """
 
 import time
@@ -13,14 +18,15 @@ import networkx as nx
 import pytest
 
 import vnum.edgeideals as ei
+from test_golden import DATA, _cycle6
 from vnum.cycles import cycle_graph
 from vnum.edgeideals import GraphWork, edge_ideal_gens, prime_component, prime_entry
 from vnum.errors import ResourceLimitError
-from vnum.graphs import Graph
-from vnum.groebner import Limits, buchberger
+from vnum.graphs import Graph, path_graph
+from vnum.groebner import Limits, buchberger, pack_poly, packed_radical_sum, unpack_poly
 from vnum.idealops import colon_ideal
 from vnum.matroids import packed_concise_generators, packed_transversal_generators
-from vnum.poly import MonomialOrder
+from vnum.poly import MonomialOrder, poly_from_text, poly_to_text
 
 EXPIRED = Limits(deadline=0.0)
 
@@ -71,6 +77,35 @@ def compare(graphs):
     }
 
 
+def builder_totals(g):
+    """Per builder of L_S over the cuts with two sides of g: the seconds
+    that building it and reducing J_G + L_S took in all and the generators
+    built; and the cuts where the flag held and both bases were equal."""
+    work = _work(g)
+    order = work.jg.order
+    builders = {
+        "concise": lambda s: packed_concise_generators(g, s, order),
+        "generic": lambda s: packed_transversal_generators(g, s, work.dependents, order),
+    }
+    totals = {name: [0.0, 0] for name in builders}
+    cuts = [rec.s for rec in work.cuts if rec.k == 2]
+    agree = 0
+    for s in cuts:
+        bases = []
+        for name, build in builders.items():
+            t0 = time.perf_counter()
+            gens = build(s)
+            bases.append(packed_radical_sum(work.jg, gens, Limits()))
+            totals[name][0] += time.perf_counter() - t0
+            totals[name][1] += len(gens)
+        agree += bases[0] is not None and bases[0] == bases[1]
+    return {
+        "cuts": len(cuts),
+        "flag_and_equal": agree,
+        **{name: (round(secs, 2), count) for name, (secs, count) in totals.items()},
+    }
+
+
 @pytest.mark.parametrize("n", [5, 6, 7, 8])
 def test_route_equals_fold_on_cycles(n):
     rows = route_and_fold(cycle_graph(n))
@@ -83,6 +118,12 @@ def test_route_equals_fold_on_an_atlas_slice():
     result = compare(atlas_graphs(6, step=3))
     assert result["primes"] >= 100
     assert result["route_equals_fold"] == result["primes"]
+
+
+def test_both_builders_give_one_basis_at_the_two_sided_cuts():
+    totals = builder_totals(cycle_graph(7))
+    assert totals["flag_and_equal"] == totals["cuts"] == 14
+    assert totals["concise"][1] == 560 and totals["generic"][1] == 1197
 
 
 def test_cuts_with_three_sides_go_to_the_fold(monkeypatch):
@@ -116,3 +157,23 @@ def test_an_expired_clock_in_the_route_reads_resource_limit(s):
     entry = prime_entry(work.record(s), g, work, EXPIRED, with_oracle=False, algebraic=True)
     assert entry.status == "resource-limit"
     assert entry.v is None and entry.window == (4, 4)
+
+
+def test_a_sum_with_a_square_leading_monomial_is_refused():
+    g = path_graph(2)
+    order = MonomialOrder(2)
+    gb = buchberger(edge_ideal_gens(g), order)
+
+    def radical_sum(q):
+        basis = packed_radical_sum(gb, [pack_poly(poly_from_text(q, 2), order)], Limits())
+        return basis if basis is None else [poly_to_text(unpack_poly(p, order)) for p in basis]
+
+    assert radical_sum("x1^2") is None
+    assert radical_sum("x1") == ["x2*y1", "x1"]
+
+
+def test_a_refused_route_falls_back_to_the_fold(monkeypatch):
+    attempts = []
+    monkeypatch.setattr(ei, "packed_radical_sum", lambda *args: attempts.append(1))
+    assert _cycle6() == (DATA / "cycle6.json").read_text(encoding="utf-8")
+    assert len(attempts) == 10  # the empty cut and the nine 2-cuts of C_6
