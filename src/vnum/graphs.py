@@ -188,12 +188,40 @@ def is_connected_dominating(g, b):
 
 def connected_dominating_sets(g, within):
     """Every subset of within that connect-dominates g, by size and then
-    lexicographically; within must be a set of vertices of g."""
+    lexicographically; within must be a set of vertices of g.
+
+    The same test as is_connected_dominating, cheapest part first: a subset
+    dominates when the bit masks of its closed neighbourhoods cover every
+    vertex, and only then is its induced subgraph searched for connectivity.
+    A connected set of k vertices has at least k - 1 edges inside it, so it
+    dominates at most k + (the sum of its degrees) - 2(k - 1) vertices; the
+    sizes at which even the k largest degrees in within fall short are
+    skipped.
+    """
+    adj = g.adjacency
+    closed = {v: sum(1 << u for u in adj[v]) | 1 << v for v in g.vertices}
+    everything = sum(1 << v for v in g.vertices)
     verts = sorted(within)
+    degrees = sorted((len(adj[v]) for v in verts), reverse=True)
     for size in range(1, len(verts) + 1):
+        if sum(degrees[:size]) - size + 2 < len(g.vertices):
+            continue
         for combo in itertools.combinations(verts, size):
-            if is_connected_dominating(g, combo):
-                yield frozenset(combo)
+            covered = 0
+            for v in combo:
+                covered |= closed[v]
+            if covered != everything:
+                continue
+            inside = frozenset(combo)
+            seen = {combo[0]}
+            stack = [combo[0]]
+            while stack:
+                for u in adj[stack.pop()] & inside:
+                    if u not in seen:
+                        seen.add(u)
+                        stack.append(u)
+            if len(seen) == size:
+                yield inside
 
 
 def gamma_c(g):

@@ -179,51 +179,66 @@ def _weight(e):
 def min_transversal_weight(family):
     """Exact minimum of |singles| + 2|pairs| over all transversals.
 
+    Ties between optimal witnesses break toward the lexicographically least
+    element set.  A member that contains another is hit whenever that one
+    is, so only the inclusion-minimal members are searched; the
+    transversals, and so the result, are the same.
+
     Branch and bound over members ordered by ascending size, branching on
-    elements by descending coverage; ties between optimal witnesses break
-    toward the lexicographically least element set.
+    elements by descending coverage, on one additive cost: with the E
+    elements numbered 0..E-1 in key order, element i costs
+    weight * 2^E - 2^(E-1-i).  The subtracted parts of a set sum to less
+    than 2^E, so cost orders sets by weight first; and of two sets of equal
+    weight, neither contains the other, so the one holding the least
+    element where they differ, the lexicographically lesser, has the
+    larger subtracted sum and the lower cost.
     """
-    members = [frozenset(m) for m in family.members]
+    members = []
+    for m in sorted(map(frozenset, family.members), key=len):
+        if not any(k <= m for k in members):
+            members.append(m)
     if any(not m for m in members):
         raise NoTransversalError("a family member is empty; no transversal exists")
 
-    key_of = {e: _element_key(e) for e in set().union(*members)}  # once per element
-
-    def set_key(elements):
-        return tuple(sorted(key_of[e] for e in elements))
-
-    members.sort(key=lambda m: (len(m), set_key(m)))
-    coverage = {e: sum(1 for m in members if e in m) for e in key_of}
-    # each member with its elements in branching order; the first unhit
-    # member is always the one to branch on, since members are sorted
-    branches = [(m, sorted(m, key=lambda e: (-coverage[e], key_of[e]))) for m in members]
-    best = [sum(_weight(e) for e in key_of) + 1, None, None]  # weight, set, key
+    elements = sorted(set().union(*members), key=_element_key)
+    top = 1 << len(elements)
+    cost = {e: _weight(e) * top - (top >> (i + 1)) for i, e in enumerate(elements)}
+    rank = {e: i for i, e in enumerate(elements)}
+    members.sort(key=lambda m: (len(m), sorted(map(rank.get, m))))
+    coverage = {e: sum(1 for m in members if e in m) for e in elements}
+    # each member with its elements in branching order and the cost of its
+    # cheapest element; the first unhit member is always the one to branch
+    # on, since members are sorted
+    branches = [
+        (m, sorted(m, key=lambda e: (-coverage[e], rank[e])), min(map(cost.get, m)))
+        for m in members
+    ]
+    best = [sum(cost.values()) + 1, None]  # cost, set
 
     def lower_bound(unhit):
-        # pairwise-disjoint unhit members must be hit by distinct elements
+        # pairwise-disjoint unhit members must be hit by distinct elements,
+        # each costing at least its member's cheapest element
         used = set()
         lb = 0
-        for m, _ in unhit:
-            if not (m & used):
-                lb += 1
+        for m, _, cheapest in unhit:
+            if used.isdisjoint(m):
+                lb += cheapest
                 used |= m
         return lb
 
-    def search(unhit, chosen, weight):
+    def search(unhit, chosen, spent):
         if not unhit:
-            if weight <= best[0]:
-                key = set_key(chosen)
-                if weight < best[0] or key < best[2]:
-                    best[:] = [weight, chosen, key]
+            if spent < best[0]:
+                best[:] = [spent, chosen]
             return
-        if weight + lower_bound(unhit) > best[0]:
+        if spent + lower_bound(unhit) >= best[0]:
             return
         for e in unhit[0][1]:
-            search([b for b in unhit if e not in b[0]], chosen | {e}, weight + _weight(e))
+            search([b for b in unhit if e not in b[0]], chosen | {e}, spent + cost[e])
 
     search(branches, frozenset(), 0)
-    assert best[1] is not None
-    return best[0], _split(best[1])
+    witness = _split(best[1])
+    return witness.weight, witness
 
 
 def minimal_transversals(family):

@@ -196,6 +196,27 @@ def test_connected_dominating_sets_come_by_size_then_lexicographically():
     assert list(connected_dominating_sets(h, [2, 3])) == [frozenset({2, 3})]
 
 
+def test_connected_dominating_sets_match_the_one_set_test(small_connected_graphs):
+    # the search's masks and connectivity walk against is_connected_dominating,
+    # over the whole graph and over each side of each minimal 2-cut
+    def reference(g, within):
+        verts = sorted(within)
+        return [
+            frozenset(combo)
+            for size in range(1, len(verts) + 1)
+            for combo in itertools.combinations(verts, size)
+            if is_connected_dominating(g, combo)
+        ]
+
+    for g in small_connected_graphs:
+        cases = [(g, g.vertices)]
+        for rec in enumerate_min_cuts(g):
+            if rec.k == 2:
+                cases += [(induced_subgraph(g, side | rec.s), side) for side in rec.components]
+        for h, within in cases:
+            assert list(connected_dominating_sets(h, within)) == reference(h, within), sorted(g.edges)
+
+
 def test_two_cut_sides():
     assert two_cut_sides(cycle_graph(6), [1, 4]) == [frozenset({2, 3}), frozenset({5, 6})]
     with pytest.raises(PreconditionError):

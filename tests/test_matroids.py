@@ -145,6 +145,30 @@ def test_min_transversal_weight_against_bruteforce(small_connected_graphs):
             assert t.weight == w
 
 
+def test_min_transversal_witness_is_the_least_optimal_set(small_connected_graphs):
+    # the tie-break against every transversal of the least weight, compared
+    # by the sorted keys of their elements
+    def key(elements):
+        return sorted((len(e), sorted(e)) for e in elements)
+
+    checked = 0
+    for g in small_connected_graphs + [cycle_graph(6)]:
+        for rec in enumerate_min_cuts(g):
+            fam = delta_family(g, rec.s)
+            w, t = min_transversal_weight(fam)
+            pool = sorted(set().union(*fam.members), key=lambda e: (len(e), sorted(e)))
+            optimal = [
+                set(combo)
+                for size in range(w + 1)
+                for combo in itertools.combinations(pool, size)
+                if sum(1 if len(e) == 1 else 2 for e in combo) == w
+                and all(m & set(combo) for m in fam.members)
+            ]
+            assert key(t.elements()) == min(map(key, optimal)), (sorted(g.edges), sorted(rec.s))
+            checked += 1
+    assert checked == 92
+
+
 def test_minimal_transversals_are_minimal_transversals(small_connected_graphs):
     for g in small_connected_graphs[:12]:
         for rec in enumerate_min_cuts(g):
