@@ -22,6 +22,7 @@ oracle.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -206,6 +207,7 @@ def cmd_gb(ns, limits, jobs, out):
     return EXIT_OK
 
 
+@functools.cache
 def build_parser():
     parser = argparse.ArgumentParser(prog="vnum", description=__doc__)
     parser.add_argument("--version", action="version", version=f"vnum {__version__}")

@@ -17,7 +17,6 @@ import functools
 import itertools
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 from .errors import PreconditionError, ResourceLimitError
@@ -428,6 +427,14 @@ def prime_entry(rec, g, work, limits, with_oracle, algebraic):
         status=status,
         detail=detail,
     )
+
+
+def ProcessPoolExecutor(max_workers):
+    """concurrent.futures' process pool, imported only when a pool starts, so
+    a serial run never loads concurrent.futures or multiprocessing."""
+    from concurrent.futures import ProcessPoolExecutor as pool_class
+
+    return pool_class(max_workers=max_workers)
 
 
 def vnumber(g, limits=DEFAULT_LIMITS, with_oracle=False, algebraic=True, jobs=1):

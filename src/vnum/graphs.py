@@ -1,10 +1,11 @@
 """Simple graphs on 1..n: cuts, components, and connected domination.
 
-Everything here is exhaustive search at desk scale (n up to roughly 12).
-Induced subgraphs keep their original vertex labels, so a Graph carries an
-explicit vertex set alongside the ambient n.  Components of an induced
-subgraph are read off the parent's adjacency restricted to the vertex set,
-without building the subgraph.
+The domination searches are exhaustive at desk scale (n up to roughly 12);
+cut enumeration prunes its search by the rule below.  Induced subgraphs keep
+their original vertex labels, so a Graph carries an explicit vertex set
+alongside the ambient n.  Components of an induced subgraph are read off the
+parent's adjacency restricted to the vertex set, without building the
+subgraph.
 
 A nonempty S is a minimal cut when G - S has c >= 2 components and every
 i in S is a cut point of G[(V - S) + i].  That is tested in one pass over
@@ -12,6 +13,11 @@ the components of G - S: adding i back merges the a components it has
 neighbours in into one, so G[(V - S) + i] has c - a + 1 components (c + 1
 when a = 0), and c - a + 1 < c holds exactly when a >= 2.  So i is a cut
 point iff it has neighbours in at least two components of G - S.
+
+So each vertex of a minimal cut S has at least two neighbours outside S.
+Adding vertices to S only takes outside neighbours away, so once a set
+breaks that rule every superset breaks it too: the enumeration never
+extends such a set, and never tries a vertex of degree below two.
 """
 
 from __future__ import annotations
@@ -159,18 +165,55 @@ class CutRecord:
 
 
 def enumerate_min_cuts(g):
-    """{empty set} plus every minimal k-cut, sorted lexicographically."""
+    """{empty set} plus every minimal k-cut, sorted lexicographically.
+
+    A depth-first search over the vertices of degree at least two, in
+    increasing order, so it meets the sets in lexicographic order; it never
+    extends a set with a vertex that has fewer than two neighbours outside
+    it (the prune of the module docstring).  Vertex sets are int bit masks,
+    the components of g - S come from a flood fill over one neighbour mask
+    per vertex, and frozensets are built only for the cuts kept.
+    """
     _require_connected(g)
-    verts = sorted(g.vertices)
+    adj = {v: sum(1 << u for u in ns) for v, ns in g.adjacency.items()}
+    everything = sum(1 << v for v in g.vertices)
+    candidates = [v for v in sorted(g.vertices) if len(g.adjacency[v]) >= 2]
     records = [CutRecord(frozenset(), 1, tuple(connected_components(g)))]
-    for size in range(1, len(verts)):
-        for combo in itertools.combinations(verts, size):
-            s = frozenset(combo)
-            comps = components_within(g, g.vertices - s)
-            if len(comps) >= 2 and _every_vertex_splits(g, s, comps):
-                records.append(CutRecord(s, len(comps), tuple(comps)))
-    records.sort(key=lambda r: tuple(sorted(r.s)))
+
+    def extend(members, outside, start):
+        for idx in range(start, len(candidates)):
+            v = candidates[idx]
+            rest = outside ^ 1 << v
+            grown = members + [v]
+            if any((adj[u] & rest).bit_count() < 2 for u in grown):
+                continue
+            comps = _mask_components(adj, rest)
+            # each u of the set has neighbours outside every single component
+            if len(comps) >= 2 and all(adj[u] & rest & ~c for u in grown for c in comps):
+                parts = tuple(frozenset(w for w in g.vertices if c >> w & 1) for c in comps)
+                records.append(CutRecord(frozenset(grown), len(comps), parts))
+            extend(grown, rest, idx + 1)
+
+    extend([], everything, 0)
     return records
+
+
+def _mask_components(adj, rest):
+    """Components of the subgraph on the bit mask rest, by least vertex."""
+    comps = []
+    while rest:
+        comp = frontier = rest & -rest
+        while frontier:
+            reach = 0
+            while frontier:
+                low = frontier & -frontier
+                reach |= adj[low.bit_length() - 1]
+                frontier ^= low
+            frontier = reach & rest & ~comp
+            comp |= frontier
+        comps.append(comp)
+        rest ^= comp
+    return comps
 
 
 def is_connected_dominating(g, b):

@@ -260,6 +260,24 @@ def test_pool_width_is_bounded(c4_file, monkeypatch):
         assert strip[:3] == strip[3:]
 
 
+def test_serial_import_leaves_out_the_process_pool():
+    # the pool's modules load only when a pool starts
+    code = (
+        "import sys, vnum, vnum.cli; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] in "
+        "('concurrent', 'multiprocessing')))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH="src"),
+        cwd=os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
 def test_parallel_width_matches_serial(c4_file):
     env = dict(os.environ, VNUM_JOBS="2", PYTHONPATH="src")
     proc = subprocess.run(

@@ -1,15 +1,18 @@
 """Graph layer: cuts, components, domination; brute-force cross-checks."""
 
 import itertools
+import random
 
 import networkx as nx
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import connected_graphs
+from test_transversal_route import atlas_graphs
 
 from vnum.errors import GraphFormatError, PreconditionError
 from vnum.graphs import (
+    CutRecord,
     Graph,
     complete_graph,
     components_within,
@@ -317,3 +320,44 @@ def test_components_within_matches_induced_subgraph(small_connected_graphs):
                 assert components_within(g, combo) == want
     with pytest.raises(PreconditionError):
         components_within(cycle_graph(4), {5})
+
+
+def min_cuts_by_definition(g):
+    """The empty set's record, then that of every nonempty proper subset
+    is_minimal_kcut accepts, in lexicographic order."""
+    records = [CutRecord(frozenset(), 1, tuple(connected_components(g)))]
+    verts = sorted(g.vertices)
+    subsets = [c for size in range(1, len(verts)) for c in itertools.combinations(verts, size)]
+    for combo in sorted(subsets):
+        s = frozenset(combo)
+        ok, k = is_minimal_kcut(g, s)
+        if ok:
+            records.append(CutRecord(s, k, tuple(components_within(g, g.vertices - s))))
+    return records
+
+
+def seeded_connected_graph(rng, n):
+    """A random spanning tree on 1..n plus each other pair with chance 1/4."""
+    edges = {(rng.randrange(1, v), v) for v in range(2, n + 1)}
+    edges |= {e for e in itertools.combinations(range(1, n + 1), 2) if rng.random() < 0.25}
+    return Graph.make(n, edges)
+
+
+def test_min_cut_enumeration_matches_the_definition():
+    """Records, components and their order, on every connected
+    non-complete graph on at most 7 vertices, seeded random graphs on 9 and
+    10 vertices, and K_9 minus an edge, where the prune cuts least."""
+    rng = random.Random(14)
+    k9_minus_edge = Graph.make(9, complete_graph(9).edges - {(1, 2)})
+    graphs = atlas_graphs(7) + [seeded_connected_graph(rng, n) for n in (9, 9, 10, 10)]
+    for g in graphs + [k9_minus_edge]:
+        assert enumerate_min_cuts(g) == min_cuts_by_definition(g), sorted(g.edges)
+    assert [r.s for r in enumerate_min_cuts(k9_minus_edge)] == [
+        frozenset(), frozenset(range(3, 10))
+    ]
+
+
+def test_cycle_cut_counts():
+    # the empty cut plus the independent sets of size >= 2 of C_n
+    counts = {n: len(enumerate_min_cuts(cycle_graph(n))) for n in (10, 11, 13, 14)}
+    assert counts == {10: 113, 11: 188, 13: 508, 14: 829}
