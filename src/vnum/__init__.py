@@ -66,7 +66,6 @@ from .matroids import (
     transversal_ideal_generic,
 )
 from .edgeideals import (
-    PrimeComponent,
     PrimeResult,
     VNumberReport,
     admissible_path_basis,

@@ -5,10 +5,11 @@ the least degree of a homogeneous f with (I : f) = p.  For the binomial
 edge ideal of a connected graph the minimal primes are indexed by the
 empty set and the minimal k-cuts, and the localized value at P_S is the
 least degree in (J_G : P_S) outside J_G.  The pipeline computes that colon
-with the Groebner engine, validates the witness by the direct certificate
-(J_G : w) = P_S, and cross-checks against combinatorial formulas (connected
-domination for the empty cut, two-sided domination for minimal 2-cuts) and
-an independent intersection-based oracle.
+with the Groebner engine, validates the witness by the certificate
+(J_G : w) = P_S, which three ideal memberships decide as P_S is prime, and
+cross-checks against combinatorial formulas (connected domination for the
+empty cut, two-sided domination for minimal 2-cuts) and an independent
+intersection-based oracle.
 """
 
 from __future__ import annotations
@@ -30,17 +31,15 @@ from .graphs import (
 from .groebner import (
     DEFAULT_LIMITS,
     GroebnerBasis,
-    ReducerTable,
     buchberger,
     is_groebner_basis,
     normal_form,
-    pack_poly,
     packed_intersection,
     packed_radical_sum,
     reduce_basis,
     unpack_poly,
 )
-from .idealops import colon_ideal, colon_poly, min_new_degree
+from .idealops import colon_ideal, min_new_degree
 from .matroids import (
     cut_dependents,
     delta_family,
@@ -63,27 +62,13 @@ def edge_ideal_gens(g):
     return [edge_binomial(u, v, g.n) for u, v in sorted(g.edges)]
 
 
-@dataclass(frozen=True)
-class PrimeComponent:
-    """The prime P_S: variables over S plus all 2-minors inside each
-    component of the graph minus S."""
-
-    n: int
-    s: frozenset
-    gens: tuple
-
-    def groebner(self, order):
-        """The generators are already the reduced basis: variable blocks and
-        minor blocks are disjoint, and the 2-minors of a complete graph form
-        a reduced basis under any of our lex orders."""
-        basis = sorted(
-            (p.monic(order) for p in self.gens),
-            key=lambda p: order.key(p.leading_monomial(order)),
-        )
-        return GroebnerBasis(tuple(basis), order)
-
-
 def prime_component(g, s):
+    """The prime P_S as its reduced basis under the default order: x_i and
+    y_i for i in S, and the 2-minors x_a y_b - x_b y_a, a < b, inside each
+    component of the graph minus S.  These generators already are that
+    basis: the variable blocks and the minor blocks share no variable, and
+    the 2-minors of a complete graph form a reduced basis under any of our
+    lex orders."""
     s = frozenset(s)
     if not s <= g.vertices:
         raise PreconditionError("cut contains non-vertices")
@@ -94,7 +79,9 @@ def prime_component(g, s):
     for comp in components_within(g, g.vertices - s):
         for a, b in itertools.combinations(sorted(comp), 2):
             gens.append(edge_binomial(a, b, g.n))
-    return PrimeComponent(g.n, s, tuple(gens))
+    order = MonomialOrder(g.n)
+    gens.sort(key=lambda p: order.key(p.leading_monomial(order)))
+    return GroebnerBasis(tuple(gens), order)
 
 
 # ---------------------------------------------------------------------------
@@ -104,7 +91,7 @@ def prime_component(g, s):
 def _all_path_interiors(g, i, j, limits):
     """Vertex sets of interiors of all simple i-j paths."""
     interiors = set()
-    adj = {v: sorted(g.neighbors(v)) for v in g.vertices}
+    adj = {v: sorted(ns) for v, ns in g.adjacency.items()}
 
     def walk(v, seen):
         limits.check_time()
@@ -166,20 +153,34 @@ def _assert_reduced_groebner(gb, limits):
 # v-numbers
 # ---------------------------------------------------------------------------
 
-def check_colon_equals_prime(g, f, s, limits=DEFAULT_LIMITS):
+def check_colon_equals_prime(g, f, s, limits=DEFAULT_LIMITS, _work=None):
     """Direct certificate for the v-number definition: (J_G : f) = P_S,
-    checked by mutual membership of both generator sets."""
+    decided by three memberships, each a normal form modulo a reduced basis:
+
+        (a) every edge binomial lies in P_S;
+        (b) f does not lie in P_S;
+        (c) f p lies in J_G for every generator p of P_S.
+
+    The test is sound because P_S is prime: (a) and (b) give
+    (J_G : f) in (P_S : f) = P_S, and (c) gives P_S in (J_G : f).  It is
+    complete because J_G is radical (Herzog, Hibi, Hreinsdottir, Kahle and
+    Rauh, 2010): if (J_G : f) = P_S, then J_G lies in P_S, which is (a),
+    and P_S f lies in J_G, which is (c); and f in P_S would put f^2 in J_G,
+    so f in J_G and (J_G : f) = (1), which is not P_S.  Runs under the
+    deadline of limits.  _work is the report's GraphWork, whose basis of
+    J_G is read; without it the basis is built here.
+    """
     if f.is_zero or not f.is_homogeneous():
         raise PreconditionError("witness must be homogeneous and nonzero")
-    order = MonomialOrder(g.n)
-    s = frozenset(s)
-    colon = colon_poly(edge_ideal_gens(g), f, order, limits)
     target = prime_component(g, s)
-    target_gb = target.groebner(order)
-    colon_table = ReducerTable(order, colon)
-    if not all(normal_form(p, colon_table, limits=limits).is_zero for p in target.gens):
+    if not all(normal_form(e, target, limits=limits).is_zero for e in edge_ideal_gens(g)):
         return False
-    return all(normal_form(c, target_gb, limits=limits).is_zero for c in colon)
+    if normal_form(f, target, limits=limits).is_zero:
+        return False
+    jg = None if _work is None else _work.jg
+    if jg is None:
+        jg = buchberger(edge_ideal_gens(g), target.order, limits)
+    return all(normal_form(f * p, jg, limits=limits).is_zero for p in target)
 
 
 @dataclass
@@ -229,7 +230,7 @@ def _running(chain, recs, count, g, order, limits):
     """The intersection of the primes of recs[:count], None when count is 0;
     chain[m] keeps that of recs[:m + 1] for the calls to come."""
     while len(chain) < count:
-        p = [pack_poly(q, order) for q in prime_component(g, recs[len(chain)].s).gens]
+        p = prime_component(g, recs[len(chain)].s).packed
         chain.append(packed_intersection(chain[-1], p, order, limits) if chain else p)
     return chain[count - 1] if count else None
 
@@ -277,13 +278,14 @@ def vnumber_at_prime(g, s, limits=DEFAULT_LIMITS, _work=None):
     the same either way.  Any such f has (J_G : f) = P_S, because J_G is
     radical (Herzog, Hibi, Hreinsdottir, Kahle and Rauh, 2010): f P_S lies
     in J_G, so every minimal prime that misses f contains P_S and, being
-    minimal, is P_S.  The certificate (J_G : f) = P_S is still checked, and
-    its failure is an AssertionError; at the primes the route serves, the
-    domination formulas also check the value independently.  For the
-    complete graph at the empty cut the ideal is already prime and the
-    value is 0 with witness 1.  Runs under the clock of limits, started
-    here unless it already runs.  _work is the report's GraphWork; without
-    it the cuts are enumerated here.
+    minimal, is P_S.  The certificate (J_G : f) = P_S is still checked, by
+    three memberships against P_S and the report's basis of J_G (see
+    check_colon_equals_prime), and its failure is an AssertionError; at the
+    primes the route serves, the domination formulas also check the value
+    independently.  For the complete graph at the empty cut the ideal is
+    already prime and the value is 0 with witness 1.  Runs under the clock
+    of limits, started here unless it already runs.  _work is the report's
+    GraphWork; without it the cuts are enumerated here.
     """
     limits = limits.start_clock()
     work = GraphWork.of(g) if _work is None else _work
@@ -296,10 +298,10 @@ def vnumber_at_prime(g, s, limits=DEFAULT_LIMITS, _work=None):
         work.jg = buchberger(edge_ideal_gens(g), order, limits)
     quot = _transversal_colon(g, rec, work, order, limits)
     if quot is None:
-        quot = colon_ideal(work.jg, list(prime_component(g, s).gens), order, limits)
+        quot = colon_ideal(work.jg, prime_component(g, s).generators, order, limits)
     # either way a reduced basis, so it goes in as one
     d, w = min_new_degree(GroebnerBasis(tuple(quot), order), work.jg, order, limits)
-    if not check_colon_equals_prime(g, w, s, limits):
+    if not check_colon_equals_prime(g, w, s, limits, _work=work):
         raise AssertionError("(J_G : w) != P_S for the witness w; impossible as J_G is radical")
     return d, w
 
@@ -318,7 +320,7 @@ def oracle_vnumber_at_prime(g, s, limits=DEFAULT_LIMITS, _work=None):
     rec = work.record(s)
     order = MonomialOrder(g.n)
     q = work.others(g, rec, order, limits) or [{0: 1}]
-    target = prime_component(g, rec.s).groebner(order).reducers
+    target = prime_component(g, rec.s).reducers
     # P_S is prime and Q is generated by homogeneous polynomials, so some
     # element of Q_d lies outside P_S exactly when a generator of degree
     # <= d does; any homogeneous generating set of Q will do

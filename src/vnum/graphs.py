@@ -69,9 +69,6 @@ class Graph:
             adj[v].add(u)
         return {v: frozenset(ns) for v, ns in adj.items()}
 
-    def neighbors(self, v):
-        return self.adjacency[v]
-
     def is_complete(self):
         k = len(self.vertices)
         return len(self.edges) == k * (k - 1) // 2

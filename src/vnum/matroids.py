@@ -172,10 +172,6 @@ def delta_family(g, s, dependents=None):
     return TransversalFamily(g.n, tuple(members), tuple(sources))
 
 
-def _weight(e):
-    return 1 if len(e) == 1 else 2
-
-
 def min_transversal_weight(family):
     """Exact minimum of |singles| + 2|pairs| over all transversals.
 
@@ -186,8 +182,8 @@ def min_transversal_weight(family):
 
     Branch and bound over members ordered by ascending size, branching on
     elements by descending coverage, on one additive cost: with the E
-    elements numbered 0..E-1 in key order, element i costs
-    weight * 2^E - 2^(E-1-i).  The subtracted parts of a set sum to less
+    elements numbered 0..E-1 in key order, element i costs its weight, its
+    size 1 or 2, times 2^E, less 2^(E-1-i).  The subtracted parts of a set sum to less
     than 2^E, so cost orders sets by weight first; and of two sets of equal
     weight, neither contains the other, so the one holding the least
     element where they differ, the lexicographically lesser, has the
@@ -202,7 +198,7 @@ def min_transversal_weight(family):
 
     elements = sorted(set().union(*members), key=_element_key)
     top = 1 << len(elements)
-    cost = {e: _weight(e) * top - (top >> (i + 1)) for i, e in enumerate(elements)}
+    cost = {e: len(e) * top - (top >> (i + 1)) for i, e in enumerate(elements)}
     rank = {e: i for i, e in enumerate(elements)}
     members.sort(key=lambda m: (len(m), sorted(map(rank.get, m))))
     coverage = {e: sum(1 for m in members if e in m) for e in elements}

@@ -223,6 +223,8 @@ class Polynomial:
     __slots__ = ("width", "terms")
 
     def __init__(self, width, terms=None):
+        if width % 2:
+            raise PreconditionError("a polynomial ring has an x and a y per vertex; odd width")
         tidy = {}
         for m, c in (terms or {}).items():
             c = _clean_coeff(c)

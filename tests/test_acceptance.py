@@ -174,7 +174,7 @@ def test_criterion_05_colon_equals_radical_of_transversal_sum(graphs_n5):
         order = MonomialOrder(g.n)
         jg = buchberger(edge_ideal_gens(g), order)
         for rec in enumerate_min_cuts(g):
-            quotient = colon_ideal(jg, list(prime_component(g, rec.s).gens), order)
+            quotient = colon_ideal(jg, list(prime_component(g, rec.s).generators), order)
             tgens = transversal_ideal_generic(g, rec.s)
             summed = list(jg.generators) + tgens
             for q in quotient:
@@ -237,7 +237,7 @@ def test_criterion_08_decomposition(graphs_n5):
         order = MonomialOrder(g.n)
         inter = None
         for rec in enumerate_min_cuts(g):
-            gens = list(prime_component(g, rec.s).gens)
+            gens = list(prime_component(g, rec.s).generators)
             inter = gens if inter is None else intersect(inter, gens, order)
         lhs = set(as_basis(inter, order).generators) if inter else set()
         rhs = set(buchberger(edge_ideal_gens(g), order).generators)

@@ -5,7 +5,7 @@ import pytest
 from vnum.errors import PreconditionError
 from vnum.groebner import is_groebner_basis
 from vnum.poly import MonomialOrder, edge_binomial, poly_to_text
-from vnum.edgeideals import admissible_path_basis
+from vnum.edgeideals import admissible_path_basis, vnumber_at_prime
 from vnum.cycles import (
     _consistency_checks,
     cut_polynomial,
@@ -176,6 +176,14 @@ def test_verify_cycle_5():
     assert rep.global_v == 3
     assert all(c.v == 3 for c in rep.primes)
     assert all(c.in_window for c in rep.primes)
+
+
+@pytest.mark.parametrize("n", [10, 11])
+def test_large_empty_cut_is_n_minus_2(n):
+    """At the empty cut of C_n the value is the connected domination number
+    n - 2; vnumber_at_prime certifies its witness and raises if it fails."""
+    v, w = vnumber_at_prime(cycle_graph(n), frozenset())
+    assert v == w.degree() == n - 2
 
 
 def test_cut_polynomial_ideal_matches_transversal_ideal_up_to_radical():

@@ -18,8 +18,9 @@ from vnum.graphs import (
     path_graph,
 )
 from vnum.groebner import buchberger, is_groebner_basis
-from vnum.idealops import as_basis, colon_ideal, intersect
+from vnum.idealops import as_basis, colon_ideal, colon_poly, intersect
 from vnum.edgeideals import (
+    GraphWork,
     admissible_path_basis,
     check_colon_equals_prime,
     edge_ideal_gens,
@@ -44,10 +45,10 @@ def test_edge_ideal_gens_examples():
 
 def test_prime_component_examples():
     p3 = path_graph(3)
-    assert list(prime_component(p3, {2}).gens) == [x_poly(2, 3), y_poly(2, 3)]
-    assert set(prime_component(p3, frozenset()).gens) == set(edge_ideal_gens(complete_graph(3)))
+    assert list(prime_component(p3, {2}).generators) == [y_poly(2, 3), x_poly(2, 3)]
+    assert set(prime_component(p3, frozenset()).generators) == set(edge_ideal_gens(complete_graph(3)))
     c6 = cycle_graph(6)
-    gens = set(prime_component(c6, {1, 4}).gens)
+    gens = set(prime_component(c6, {1, 4}).generators)
     assert gens == {
         x_poly(1, 6), y_poly(1, 6), x_poly(4, 6), y_poly(4, 6),
         edge_binomial(2, 3, 6), edge_binomial(5, 6, 6),
@@ -58,13 +59,13 @@ def test_prime_component_is_reduced_basis(small_connected_graphs):
     for g in small_connected_graphs[:15]:
         order = MonomialOrder(g.n)
         for rec in enumerate_min_cuts(g):
-            pc = prime_component(g, rec.s)
-            if not pc.gens:
+            gb = prime_component(g, rec.s)
+            if not gb.generators:
                 continue
-            gb = pc.groebner(order)
+            assert gb.order.same_as(order)
             assert is_groebner_basis(list(gb.generators), order)
-            recomputed = buchberger(list(pc.gens), order)
-            assert set(recomputed.generators) == set(gb.generators)
+            recomputed = buchberger(list(gb.generators), order)
+            assert list(recomputed.generators) == list(gb.generators)
 
 
 def test_admissible_path_basis_examples():
@@ -118,6 +119,36 @@ def test_check_colon_equals_prime_examples():
     assert check_colon_equals_prime(cycle_graph(4), edge_binomial(2, 4, 4), {1, 3})
     with pytest.raises(PreconditionError):
         check_colon_equals_prime(p3, x_poly(1, 3) + one_poly(3), frozenset())
+
+
+def test_certificate_equals_the_colon_it_replaces(small_connected_graphs):
+    """check_colon_equals_prime decides (J_G : f) = P_S by memberships; the
+    reference computes the colon and compares it with the reduced basis of
+    P_S.  Both agree, with and without the report's GraphWork, at every
+    prime of the connected non-complete graphs on at most 5 vertices, for
+    the witnesses of all its primes, 1, x1, y_n, an edge binomial and the
+    prime's own witness times x1."""
+    checked = accepted = 0
+    for g in small_connected_graphs:
+        if g.is_complete():
+            continue
+        order = MonomialOrder(g.n)
+        edges = edge_ideal_gens(g)
+        work = GraphWork.of(g)
+        witnesses = {rec.s: vnumber_at_prime(g, rec.s, _work=work)[1] for rec in work.cuts}
+        common = [*witnesses.values(), one_poly(g.n), x_poly(1, g.n), y_poly(g.n, g.n), edges[0]]
+        colons = {}
+        for s, w in witnesses.items():
+            target = list(prime_component(g, s).generators)
+            for f in common + [w * x_poly(1, g.n)]:
+                if f not in colons:
+                    colons[f] = colon_poly(edges, f, order)
+                want = colons[f] == target
+                assert check_colon_equals_prime(g, f, s) == want, (sorted(g.edges), sorted(s), f)
+                assert check_colon_equals_prime(g, f, s, _work=work) == want
+                checked += 1
+                accepted += want
+    assert (checked, accepted) == (618, 130)
 
 
 def test_oracle_examples():
@@ -189,7 +220,7 @@ def test_decomposition_small():
         order = MonomialOrder(g.n)
         inter = None
         for rec in enumerate_min_cuts(g):
-            gens = list(prime_component(g, rec.s).gens)
+            gens = list(prime_component(g, rec.s).generators)
             inter = gens if inter is None else intersect(inter, gens, order)
         jg = buchberger(edge_ideal_gens(g), order)
         assert set(as_basis(inter, order).generators) == set(jg.generators)
@@ -207,7 +238,7 @@ def test_colon_ideal_is_already_its_reduced_basis(small_connected_graphs):
         for rec in enumerate_min_cuts(g):
             if not rec.s and g.is_complete():
                 continue  # the pipeline answers 0 here without a colon
-            quot = colon_ideal(jg, list(prime_component(g, rec.s).gens), order)
+            quot = colon_ideal(jg, list(prime_component(g, rec.s).generators), order)
             assert quot == list(buchberger(quot, order).generators), (
                 sorted(g.edges), sorted(rec.s))
             checked += 1
@@ -379,8 +410,9 @@ def test_colons_by_one_polynomial_are_memoised_on_the_jg_basis(monkeypatch):
     """verify_cycle(6) builds J_G in one Buchberger run and takes the
     transversal route, one run each, at its empty cut and its nine 2-cuts.
     Its two 3-cuts share no generator, so each folds its own three colons
-    (J_G : f) and intersects them in two runs.  The 12 certificates add one
-    colon, and one run, each.  On C_7 the 3-cuts {1,3,5} and {1,3,6} share
+    (J_G : f) and intersects them in two runs.  The 12 certificates decide
+    (J_G : w) = P_S by memberships in P_S and in the basis of J_G, so they
+    add no colon and no run.  On C_7 the 3-cuts {1,3,5} and {1,3,6} share
     x1, y1, x3 and y3, and the second folds only its one new colon: the
     basis of J_G keeps the others."""
     import vnum.edgeideals as ei
@@ -395,11 +427,11 @@ def test_colons_by_one_polynomial_are_memoised_on_the_jg_basis(monkeypatch):
         calls["certificate" if certifying else "fold"] += 1
         return packed_colon(*args)
 
-    def counting_certificate(*args):
+    def counting_certificate(*args, **kwargs):
         calls["certified"] += 1
         certifying.append(True)
         try:
-            return certificate(*args)
+            return certificate(*args, **kwargs)
         finally:
             certifying.pop()
 
@@ -419,7 +451,7 @@ def test_colons_by_one_polynomial_are_memoised_on_the_jg_basis(monkeypatch):
     monkeypatch.setattr(gr, "_buchberger", counting_runs)
     monkeypatch.setattr(ei, "_transversal_colon", counting_route)
     verify_cycle(6)
-    assert calls == {"fold": 6, "certificate": 12, "certified": 12, "runs": 33, "route": 10}
+    assert calls == {"fold": 6, "certificate": 0, "certified": 12, "runs": 21, "route": 10}
 
     g = cycle_graph(7)
     work = ei.GraphWork.of(g)

@@ -197,8 +197,8 @@ def test_intersect_examples():
     assert intersect([x1], [x1], order) == [x1]
     # P_{2} cap P_empty = J_{P3}
     g = path_graph(3)
-    p2 = prime_component(g, {2}).gens
-    p0 = prime_component(g, frozenset()).gens
+    p2 = prime_component(g, {2}).generators
+    p0 = prime_component(g, frozenset()).generators
     inter = intersect(list(p2), list(p0), order)
     jg = buchberger(edge_ideal_gens(g), order)
     assert set(inter) == set(jg.generators)
@@ -245,7 +245,7 @@ def test_colon_ideal_examples():
     order4 = MonomialOrder(4)
     c4 = cycle_graph(4)
     jg = edge_ideal_gens(c4)
-    q = colon_ideal(jg, list(prime_component(c4, {1, 3}).gens), order4)
+    q = colon_ideal(jg, list(prime_component(c4, {1, 3}).generators), order4)
     f24 = edge_binomial(2, 4, 4)
     assert ideal_membership(f24, q, order4)
     d, _ = min_new_degree(q, jg, order4)
@@ -256,7 +256,7 @@ def test_colon_ideal_examples():
     # (J_P3 : P_empty) has a new element of degree 1
     order3 = MonomialOrder(3)
     p3 = path_graph(3)
-    q = colon_ideal(edge_ideal_gens(p3), list(prime_component(p3, frozenset()).gens), order3)
+    q = colon_ideal(edge_ideal_gens(p3), list(prime_component(p3, frozenset()).generators), order3)
     d, w = min_new_degree(q, edge_ideal_gens(p3), order3)
     assert d == 1
 
@@ -331,7 +331,7 @@ def test_min_new_degree_examples():
         min_new_degree([x1], [x1], order)
     order3 = MonomialOrder(3)
     p3 = path_graph(3)
-    q = colon_ideal(edge_ideal_gens(p3), list(prime_component(p3, frozenset()).gens), order3)
+    q = colon_ideal(edge_ideal_gens(p3), list(prime_component(p3, frozenset()).generators), order3)
     d, w = min_new_degree(q, edge_ideal_gens(p3), order3)
     assert d == 1 and w in (x_poly(2, 3), y_poly(2, 3))
 
@@ -412,7 +412,7 @@ def test_a_polynomial_of_another_width_is_refused():
     # packing zips exponents with field shifts, so a wider monomial would
     # lose its last exponent without this check
     order = MonomialOrder(2)
-    wide = Polynomial(5, {(1, 0, 0, 0, 1): 1})
+    wide = Polynomial(6, {(1, 0, 0, 0, 0, 1): 1})
     with pytest.raises(PreconditionError, match="width"):
         buchberger([wide], order)
     with pytest.raises(PreconditionError, match="width"):

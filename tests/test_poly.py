@@ -74,6 +74,15 @@ def test_floats_are_rejected():
         Polynomial.constant(4, 1.0)
 
 
+def test_an_odd_width_is_refused():
+    # the ring on n vertices has 2n variables, so an odd width would name
+    # the y of a vertex the ring does not have
+    with pytest.raises(PreconditionError, match="odd width"):
+        Polynomial(5, {(1, 0, 0, 0, 1): 1})
+    with pytest.raises(PreconditionError, match="odd width"):
+        Polynomial.zero(5)
+
+
 def test_polynomial_is_immutable():
     p = x_poly(1, 2)
     with pytest.raises(AttributeError):

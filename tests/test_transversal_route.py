@@ -60,7 +60,7 @@ def route_and_fold(g):
         t0 = time.perf_counter()
         route = ei._transversal_colon(g, rec, work, order, Limits().start_clock())
         t1 = time.perf_counter()
-        fold = colon_ideal(work.jg, list(prime_component(g, rec.s).gens), order)
+        fold = colon_ideal(work.jg, list(prime_component(g, rec.s).generators), order)
         out.append((rec.s, route, fold, t1 - t0, time.perf_counter() - t1))
     return out
 
