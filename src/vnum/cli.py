@@ -8,7 +8,8 @@ Commands:
 Exit codes: 0 success, 2 parse error, 3 precondition violation,
 4 resource exhaustion, 5 disagreement between routes (the pipeline against
 a domination formula or the oracle); after 4 and 5 the full report is
-still emitted, and 5 wins over 4.
+still emitted, and 5 wins over 4.  A --bounds-only run never exits 5 but
+can exit 4, as its searches run under the time budget.
 
 Environment: VNUM_MAX_POLYS (basis size cap, default 20000), VNUM_MAX_DEGREE
 (degree cap, 40), VNUM_TIME_BUDGET_SECS (seconds per prime or gb run, 300) and

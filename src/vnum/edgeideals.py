@@ -33,11 +33,11 @@ from .groebner import (
     GroebnerBasis,
     buchberger,
     is_groebner_basis,
-    normal_form,
+    pack_poly,
     packed_intersection,
+    packed_product,
     packed_radical_sum,
     reduce_basis,
-    unpack_poly,
 )
 from .idealops import colon_ideal, min_new_degree
 from .matroids import (
@@ -80,8 +80,7 @@ def prime_component(g, s):
         for a, b in itertools.combinations(sorted(comp), 2):
             gens.append(edge_binomial(a, b, g.n))
     order = MonomialOrder(g.n)
-    gens.sort(key=lambda p: order.key(p.leading_monomial(order)))
-    return GroebnerBasis(tuple(gens), order)
+    return GroebnerBasis(sorted((pack_poly(p, order) for p in gens), key=max), order)
 
 
 # ---------------------------------------------------------------------------
@@ -131,8 +130,7 @@ def admissible_path_basis(g, sigma=None, limits=DEFAULT_LIMITS):
             for w in sorted(interior):
                 u = u * (x_poly(w, g.n) if rank[w] > rank[j] else y_poly(w, g.n))
             gens[(i, j, interior)] = u * edge_binomial(i, j, g.n)
-    basis = sorted(gens.values(), key=lambda p: order.key(p.leading_monomial(order)))
-    gb = GroebnerBasis(tuple(basis), order)
+    gb = GroebnerBasis(sorted((pack_poly(p, order) for p in gens.values()), key=max), order)
     _assert_reduced_groebner(gb, limits)
     return gb
 
@@ -166,21 +164,26 @@ def check_colon_equals_prime(g, f, s, limits=DEFAULT_LIMITS, _work=None):
     complete because J_G is radical (Herzog, Hibi, Hreinsdottir, Kahle and
     Rauh, 2010): if (J_G : f) = P_S, then J_G lies in P_S, which is (a),
     and P_S f lies in J_G, which is (c); and f in P_S would put f^2 in J_G,
-    so f in J_G and (J_G : f) = (1), which is not P_S.  Runs under the
-    deadline of limits.  _work is the report's GraphWork, whose basis of
-    J_G is read; without it the basis is built here.
+    so f in J_G and (J_G : f) = (1), which is not P_S.  f is packed once,
+    and each product f p is formed packed.  Runs under the deadline of
+    limits.  _work is the report's GraphWork, whose basis of J_G is read;
+    without it the basis is built here.
     """
     if f.is_zero or not f.is_homogeneous():
         raise PreconditionError("witness must be homogeneous and nonzero")
     target = prime_component(g, s)
-    if not all(normal_form(e, target, limits=limits).is_zero for e in edge_ideal_gens(g)):
+    order, in_target = target.order, target.reducers
+    if any(in_target.remainder(pack_poly(e, order), limits) for e in edge_ideal_gens(g)):
         return False
-    if normal_form(f, target, limits=limits).is_zero:
+    pf = pack_poly(f, order)
+    if not in_target.remainder(pf, limits):
         return False
     jg = None if _work is None else _work.jg
     if jg is None:
-        jg = buchberger(edge_ideal_gens(g), target.order, limits)
-    return all(normal_form(f * p, jg, limits=limits).is_zero for p in target)
+        jg = buchberger(edge_ideal_gens(g), order, limits)
+    return not any(
+        jg.reducers.remainder(packed_product(pf, p, order), limits) for p in target.packed
+    )
 
 
 @dataclass
@@ -263,7 +266,7 @@ def _transversal_colon(g, rec, work, order, limits):
     else:
         return None
     basis = packed_radical_sum(work.jg, gens, limits)
-    return None if basis is None else [unpack_poly(p, order) for p in basis]
+    return None if basis is None else GroebnerBasis(basis, order)
 
 
 def vnumber_at_prime(g, s, limits=DEFAULT_LIMITS, _work=None):
@@ -298,9 +301,8 @@ def vnumber_at_prime(g, s, limits=DEFAULT_LIMITS, _work=None):
         work.jg = buchberger(edge_ideal_gens(g), order, limits)
     quot = _transversal_colon(g, rec, work, order, limits)
     if quot is None:
-        quot = colon_ideal(work.jg, prime_component(g, s).generators, order, limits)
-    # either way a reduced basis, so it goes in as one
-    d, w = min_new_degree(GroebnerBasis(tuple(quot), order), work.jg, order, limits)
+        quot = colon_ideal(work.jg, prime_component(g, s), order, limits)
+    d, w = min_new_degree(quot, work.jg, order, limits)
     if not check_colon_equals_prime(g, w, s, limits, _work=work):
         raise AssertionError("(J_G : w) != P_S for the witness w; impossible as J_G is radical")
     return d, w
@@ -362,20 +364,20 @@ class VNumberReport:
         raise KeyError(sorted(s))
 
 
-def _combinatorial_value(g, rec):
+def _combinatorial_value(g, rec, limits):
     """Exact value from the domination theorems when available."""
     if rec.s == frozenset():
-        return 0 if g.is_complete() else gamma_c(g)[0]
+        return 0 if g.is_complete() else gamma_c(g, limits)[0]
     if rec.k == 2:
-        return gamma_c_pair(g, rec.s)[0]
+        return gamma_c_pair(g, rec.s, limits)[0]
     return None
 
 
-def _window(g, rec, comb, dependents):
+def _window(g, rec, comb, dependents, limits):
     """(lo, hi) for one prime; dependents is the report's GraphWork.dependents."""
     if comb is not None:
         return (comb, comb)
-    weight, _ = min_transversal_weight(delta_family(g, rec.s, dependents))
+    weight, _ = min_transversal_weight(delta_family(g, rec.s, dependents), limits)
     return (0, weight)
 
 
@@ -394,26 +396,27 @@ def prime_entry(rec, g, work, limits, with_oracle, algebraic):
     work is the report's GraphWork, which rec comes from.  Runs the
     algebraic pipeline unless algebraic=False, which reports pure
     combinatorics and never touches the Groebner engine; a resource error
-    is captured in the entry.  The prime's one clock starts here, so the
-    domination and window searches, the pipeline, its certificate and the
-    oracle share one time budget.
+    is captured in the entry, with whatever was found before it.  The
+    prime's one clock starts here, so the domination and window searches,
+    the pipeline, its certificate and the oracle share one time budget.
     """
     t0 = time.monotonic()
     limits = limits.start_clock()
-    comb = _combinatorial_value(g, rec)
-    window = _window(g, rec, comb, work.dependents)
-    v = witness = oracle_v = oracle_ok = None
+    comb = v = witness = oracle_v = oracle_ok = None
+    window = (None, None)
     status, detail = "ok", ""
-    if algebraic:
-        try:
+    try:
+        comb = _combinatorial_value(g, rec, limits)
+        window = _window(g, rec, comb, work.dependents, limits)
+        if algebraic:
             v, witness = vnumber_at_prime(g, rec.s, limits, _work=work)
             if with_oracle:
                 oracle_v = oracle_vnumber_at_prime(g, rec.s, limits, _work=work)
                 oracle_ok = oracle_v == v
-        except ResourceLimitError as exc:
-            status, detail = "resource-limit", str(exc)
-    else:
-        v = comb
+        else:
+            v = comb
+    except ResourceLimitError as exc:
+        status, detail = "resource-limit", str(exc)
     agree = comb == v if comb is not None and v is not None else None
     return PrimeResult(
         s=rec.s,

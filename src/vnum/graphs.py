@@ -226,9 +226,11 @@ def is_connected_dominating(g, b):
     return all(adj[v] & b for v in g.vertices - b)
 
 
-def connected_dominating_sets(g, within):
+def connected_dominating_sets(g, within, limits=None):
     """Every subset of within that connect-dominates g, by size and then
-    lexicographically; within must be a set of vertices of g.
+    lexicographically; within must be a set of vertices of g.  Given
+    limits, the search checks their deadline after every 256 subsets of
+    one size.
 
     The same test as is_connected_dominating, cheapest part first: a subset
     dominates when the bit masks of its closed neighbourhoods cover every
@@ -246,7 +248,9 @@ def connected_dominating_sets(g, within):
     for size in range(1, len(verts) + 1):
         if sum(degrees[:size]) - size + 2 < len(g.vertices):
             continue
-        for combo in itertools.combinations(verts, size):
+        for count, combo in enumerate(itertools.combinations(verts, size), 1):
+            if limits is not None and not count % 256:
+                limits.check_time()
             covered = 0
             for v in combo:
                 covered |= closed[v]
@@ -264,14 +268,15 @@ def connected_dominating_sets(g, within):
                 yield inside
 
 
-def gamma_c(g):
+def gamma_c(g, limits=None):
     """Connected domination number with its lexicographically least witness.
 
     The one-vertex graph gets gamma_c = 1 (its sole vertex dominates
-    vacuously); the search never needs the empty set.
+    vacuously); the search never needs the empty set.  limits is as for
+    connected_dominating_sets.
     """
     _require_connected(g)
-    witness = next(connected_dominating_sets(g, g.vertices))
+    witness = next(connected_dominating_sets(g, g.vertices, limits))
     return len(witness), witness
 
 
@@ -284,14 +289,15 @@ def two_cut_sides(g, s):
     return components_within(g, g.vertices - frozenset(s))
 
 
-def gamma_c_pair(g, s):
+def gamma_c_pair(g, s, limits=None):
     """Least size of A inside V1 u V2 whose trace on each side
     connect-dominates that side plus the cut, with the union of each side's
     lexicographically least witness; s must be a minimal 2-cut.  The whole
-    side always connect-dominates side plus cut, so each search succeeds."""
+    side always connect-dominates side plus cut, so each search succeeds.
+    limits is as for connected_dominating_sets."""
     s = frozenset(s)
     w1, w2 = (
-        next(connected_dominating_sets(induced_subgraph(g, side | s), side))
+        next(connected_dominating_sets(induced_subgraph(g, side | s), side, limits))
         for side in two_cut_sides(g, s)
     )
     return len(w1) + len(w2), w1 | w2

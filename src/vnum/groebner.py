@@ -6,11 +6,13 @@ in the most significant field, the top bit of each field a guard bit.
 Integer comparison is then the lex comparison, multiplication and division
 are + and -, and divisibility and the lcm are a few integer operations on
 the guard bits.  A polynomial is a {packed monomial: coefficient} dict.
-The functions that take Polynomials convert with pack_poly on entry and
-unpack_poly on exit; idealops keeps packed values between engine calls and
-converts only at its own public functions.  An exponent that would outgrow
-its field (above MAX_EXPONENT) raises ResourceLimitError, checked before
-every product the engine forms, so a field never wraps into its neighbour.
+A GroebnerBasis carries its generators in this form, as the engine
+returns them, so bases pass between the engine, idealops and edgeideals
+without conversion; its Polynomial view is built only when read.  The
+functions that take Polynomials pack them on entry.  An exponent that
+would outgrow its field (above MAX_EXPONENT) raises ResourceLimitError,
+checked before every product the engine forms, so a field never wraps
+into its neighbour.
 
 The auxiliary variable t of intersection, colon and radical membership is
 the top field of the t-elimination order, whose x and y fields are those of
@@ -87,26 +89,27 @@ DEFAULT_LIMITS = Limits()
 
 @dataclass(frozen=True)
 class GroebnerBasis:
-    """A reduced Groebner basis of one ideal for one order, ascending by
-    leading monomial, with what repeated work on that ideal shares: its
-    packed generators, its division table and its colons."""
+    """A reduced Groebner basis of one ideal for one order: its nonzero
+    packed generators, ascending by leading monomial, as _buchberger and
+    _reduce return them, with what repeated work on that ideal shares: its
+    Polynomial view, its division table and its colons."""
 
-    generators: tuple
+    packed: list
     order: MonomialOrder
 
     @property
     def contains_one(self):
-        return any(not g.is_zero and g.is_constant() for g in self.generators)
+        return any(max(p) == 0 for p in self.packed)
 
     @cached_property
-    def packed(self):
-        """The nonzero generators packed by the order, built on first use."""
-        return [pack_poly(g, self.order) for g in self.generators if not g.is_zero]
+    def generators(self):
+        """The generators as Polynomials, built on first use."""
+        return tuple(unpack_poly(p, self.order) for p in self.packed)
 
     @cached_property
     def reducers(self):
-        """The packed division table of the generators, built on first use."""
-        return ReducerTable(self.order, self.generators)
+        """The division table of the generators, built on first use."""
+        return ReducerTable(self.order, self.packed)
 
     @cached_property
     def colons(self):
@@ -118,7 +121,7 @@ class GroebnerBasis:
         return iter(self.generators)
 
     def __len__(self):
-        return len(self.generators)
+        return len(self.packed)
 
 
 # ---------------------------------------------------------------------------
@@ -186,7 +189,8 @@ def _row(p, guard):
 
 
 class ReducerTable:
-    """Division rows of nonzero polynomials, ascending by leading monomial.
+    """Division rows of nonzero packed polynomials, ascending by leading
+    monomial.
 
     Rows with equal leading monomials keep their insertion order, so the
     table equals a stable sort of the polynomials by leading term.
@@ -198,13 +202,8 @@ class ReducerTable:
         self.order = order
         self.entries = []
         self._lms = []
-        for g in polys:
-            self.add(g)
-
-    def add(self, g):
-        """Add a Polynomial; the zero polynomial is skipped."""
-        if not g.is_zero:
-            self.insert(pack_poly(g, self.order))
+        for p in polys:
+            self.insert(p)
 
     def insert(self, p):
         """Add a nonzero packed polynomial and return its row."""
@@ -256,8 +255,8 @@ def normal_form(f, basis, order=None, limits=DEFAULT_LIMITS):
     when the basis is a Groebner basis for the order).
 
     basis is a GroebnerBasis (its cached table is used), a ReducerTable, or
-    a plain list of polynomials, which then needs the order.  The division
-    runs under the deadline of limits.
+    a plain list of Polynomials, which then needs the order and is packed
+    here.  The division runs under the deadline of limits.
     """
     if isinstance(basis, (GroebnerBasis, ReducerTable)):
         if order is None:
@@ -268,7 +267,7 @@ def normal_form(f, basis, order=None, limits=DEFAULT_LIMITS):
     elif order is None:
         raise PreconditionError("order required when basis is a plain list")
     else:
-        table = ReducerTable(order, basis)
+        table = ReducerTable(order, [pack_poly(g, order) for g in basis if not g.is_zero])
     return unpack_poly(table.remainder(pack_poly(f, order), limits), order)
 
 
@@ -346,7 +345,7 @@ def buchberger(gens, order, limits=DEFAULT_LIMITS):
     ResourceLimitError when a cap is exceeded, never a wrong answer.
     """
     basis = _buchberger([pack_poly(g, order) for g in gens if not g.is_zero], order, limits)
-    return GroebnerBasis(tuple(unpack_poly(p, order) for p in basis), order)
+    return GroebnerBasis(basis, order)
 
 
 def _buchberger(polys, order, limits):
@@ -414,9 +413,7 @@ def _reduce(polys, order, limits):
     # No other leading term divides lm(p), and lm(p) divides no term below
     # it, so p reduces modulo the others as lm(p) plus its tail reduced
     # modulo the whole table.
-    table = ReducerTable(order)
-    for p in minimal:
-        table.insert(p)
+    table = ReducerTable(order, minimal)
     out = []
     for p, lm in zip(minimal, min_lms):
         tail = {m: c for m, c in p.items() if m != lm}

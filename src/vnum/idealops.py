@@ -3,9 +3,12 @@
 One mechanism serves intersection, colon and radical membership: extend the
 ring by a single auxiliary variable t, compute a Groebner basis under the
 elimination order with t greatest, and read off the t-free part.  The
-engine does that on packed polynomials (see groebner); this module packs
-the Polynomials its public functions take, keeps the fold of colon_ideal
-packed from one engine call to the next, and unpacks the results.
+engine does that on packed polynomials (see groebner).  An ideal comes in
+as a GroebnerBasis, whose packed generators are used as they are, or as a
+list of Polynomials, packed on entry; intersect, colon_poly and
+colon_ideal return the reduced GroebnerBasis the engine computed, still
+packed.  Only min_new_degree_candidates converts a result to Polynomials,
+and only its least-degree remainders, the witness candidates.
 """
 
 from __future__ import annotations
@@ -14,16 +17,18 @@ from .errors import PreconditionError, VnumError
 from .groebner import (
     DEFAULT_LIMITS,
     GroebnerBasis,
+    _sort_key,
     buchberger,
     normal_form,
     pack_poly,
     packed_colon,
     packed_intersection,
+    packed_is_squarefree,
     packed_product,
     packed_radical_contains,
     unpack_poly,
 )
-from .poly import MonomialOrder, Polynomial, mono_is_squarefree, one_poly
+from .poly import MonomialOrder, Polynomial
 
 
 class NoNewElementError(VnumError):
@@ -32,10 +37,8 @@ class NoNewElementError(VnumError):
 
 def as_basis(gens, order, limits=DEFAULT_LIMITS):
     """Coerce a generator list (or an existing basis for the order) to a GB."""
-    if isinstance(gens, GroebnerBasis):
-        if gens.order.same_as(order):
-            return gens
-        gens = list(gens.generators)
+    if isinstance(gens, GroebnerBasis) and gens.order.same_as(order):
+        return gens
     return buchberger(gens, order, limits)
 
 
@@ -54,58 +57,62 @@ def _packed(gens, order):
 
 
 def intersect(gens_i, gens_j, order, limits=DEFAULT_LIMITS):
-    """Generators (a reduced GB) of I cap J via t*I + (1-t)*J and elimination."""
+    """The reduced GroebnerBasis of I cap J via t*I + (1-t)*J and elimination."""
     gi, gj = _packed(gens_i, order), _packed(gens_j, order)
     if not gi or not gj:
-        return []
-    return [unpack_poly(p, order) for p in packed_intersection(gi, gj, order, limits)]
+        return GroebnerBasis([], order)
+    return GroebnerBasis(packed_intersection(gi, gj, order, limits), order)
 
 
 def colon_poly(gens, f, order, limits=DEFAULT_LIMITS):
-    """Generators (a reduced GB) of (I : f) = (I cap (f)) / f."""
+    """The reduced GroebnerBasis of (I : f) = (I cap (f)) / f."""
     if f.is_zero:
         raise PreconditionError("colon by the zero polynomial")
     gi = _packed(gens, order)
     if not gi:
-        return []
+        return GroebnerBasis([], order)
     if f.is_constant():
-        return list(as_basis(gens, order, limits).generators)
-    return [unpack_poly(p, order) for p in packed_colon(gi, pack_poly(f, order), order, limits)]
+        return as_basis(gens, order, limits)
+    return GroebnerBasis(packed_colon(gi, pack_poly(f, order), order, limits), order)
+
+
+def _degree(p, order):
+    """Total degree of a nonzero packed polynomial."""
+    return max(map(order.packed_degree, p))
 
 
 def colon_ideal(gens, pgens, order, limits=DEFAULT_LIMITS):
-    """Generators (a reduced GB) of (I : P), folding (I : f) over f in P.
+    """The reduced GroebnerBasis of (I : P), folding (I : f) over the
+    generators f of P, a basis or a list, by degree and then _sort_key.
 
     Two exact shortcuts keep the fold cheap: a generator f already in I
     contributes the unit ideal, and a colon that the running intersection
     is already contained in changes nothing.  Each (I : f) is memoised in
-    the colons of the basis of I, so calls that pass the same basis share
-    them.
+    the colons of the basis of I, keyed by the _sort_key of the packed f,
+    so calls that pass the same basis share them.
     """
-    pg = [p for p in pgens if not p.is_zero]
+    pg = {_sort_key(p): p for p in _packed(pgens, order)}
     if not pg:
         raise PreconditionError("colon by an ideal with no generators")
     gb_i = as_basis(gens, order, limits)
-    if not gb_i.generators:
-        return []
+    if not gb_i.packed:
+        return gb_i
     table, memo = gb_i.reducers, gb_i.colons
     result = None
-    for f in sorted(pg, key=lambda p: (p.degree(), p.sort_key(order))):
-        pf = pack_poly(f, order)
-        if not table.remainder(pf, limits):
+    for key in sorted(pg, key=lambda k: (_degree(pg[k], order), k)):
+        f = pg[key]
+        if not table.remainder(f, limits):
             continue  # f in I, so (I : f) = (1)
         if result is not None and all(
-            not table.remainder(packed_product(h, pf, order), limits) for h in result
+            not table.remainder(packed_product(h, f, order), limits) for h in result
         ):
             continue  # current intersection already inside (I : f)
-        if f not in memo:
-            memo[f] = gb_i.packed if f.is_constant() else packed_colon(gb_i.packed, pf, order, limits)
-        cf = memo[f]
+        if key not in memo:
+            memo[key] = gb_i.packed if max(f) == 0 else packed_colon(gb_i.packed, f, order, limits)
+        cf = memo[key]
         result = cf if result is None else packed_intersection(result, cf, order, limits)
-    if result is None:
-        # every generator of P lies in I, hence P subset I and (I : P) = (1)
-        return [one_poly(order.n)]
-    return [unpack_poly(p, order) for p in result]
+    # with no result every generator of P lies in I, hence P subset I and (I : P) = (1)
+    return GroebnerBasis([{0: 1}] if result is None else result, order)
 
 
 def radical_membership(f, gens, order, limits=DEFAULT_LIMITS):
@@ -122,13 +129,9 @@ def initial_ideal(gb):
     if not isinstance(gb, GroebnerBasis):
         raise PreconditionError("initial_ideal needs a reduced Groebner basis")
     order = gb.order
-    monos = []
-    squarefree = True
-    for g in gb.generators:
-        lm = g.leading_monomial(order)
-        monos.append(Polynomial(g.width, {lm: 1}))
-        squarefree = squarefree and mono_is_squarefree(lm)
-    return monos, squarefree
+    lms = [max(p) for p in gb.packed]
+    monos = [Polynomial(order.width, {order.unpack(lm): 1}) for lm in lms]
+    return monos, all(packed_is_squarefree(lm, order.guard) for lm in lms)
 
 
 def min_new_degree(jgens, igens, order, limits=DEFAULT_LIMITS):
@@ -143,18 +146,21 @@ def min_new_degree(jgens, igens, order, limits=DEFAULT_LIMITS):
 
 
 def min_new_degree_candidates(jgens, igens, order, limits=DEFAULT_LIMITS):
-    """All minimal-degree nonzero remainders, deterministically sorted."""
+    """All minimal-degree nonzero remainders, deterministically sorted: the
+    packed generators of J divided by the table of I, and only the
+    least-degree remainders converted to Polynomials."""
     gb_j = as_basis(jgens, order, limits)
-    gb_i = as_basis(igens, order, limits)
+    table = as_basis(igens, order, limits).reducers
     nonzero = []
-    for g in gb_j.generators:
-        assert g.is_homogeneous(), "reduced basis of a homogeneous ideal must be homogeneous"
-        r = normal_form(g, gb_i, limits=limits)
-        if not r.is_zero:
+    for p in gb_j.packed:
+        assert len(set(map(order.packed_degree, p))) == 1, (
+            "reduced basis of a homogeneous ideal must be homogeneous")
+        r = table.remainder(p, limits)
+        if r:
             nonzero.append(r)
     if not nonzero:
         raise NoNewElementError("the two ideals coincide; no new element exists")
-    d = min(r.degree() for r in nonzero)
+    d = min(_degree(r, order) for r in nonzero)
     # canonical witness order: greatest leading monomial first
-    cands = [r for r in nonzero if r.degree() == d]
-    return d, sorted(cands, key=lambda p: p.sort_key(order), reverse=True)
+    cands = sorted((r for r in nonzero if _degree(r, order) == d), key=_sort_key, reverse=True)
+    return d, [unpack_poly(r, order) for r in cands]

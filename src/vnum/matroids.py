@@ -22,7 +22,7 @@ from .graphs import (
     is_minimal_kcut,
     two_cut_sides,
 )
-from .groebner import DEFAULT_LIMITS, pack_poly, packed_product, unpack_poly
+from .groebner import DEFAULT_LIMITS, STEPS_PER_CLOCK_CHECK, pack_poly, packed_product, unpack_poly
 from .poly import (
     MonomialOrder,
     edge_binomial,
@@ -172,7 +172,7 @@ def delta_family(g, s, dependents=None):
     return TransversalFamily(g.n, tuple(members), tuple(sources))
 
 
-def min_transversal_weight(family):
+def min_transversal_weight(family, limits=DEFAULT_LIMITS):
     """Exact minimum of |singles| + 2|pairs| over all transversals.
 
     Ties between optimal witnesses break toward the lexicographically least
@@ -187,7 +187,8 @@ def min_transversal_weight(family):
     than 2^E, so cost orders sets by weight first; and of two sets of equal
     weight, neither contains the other, so the one holding the least
     element where they differ, the lexicographically lesser, has the
-    larger subtracted sum and the lower cost.
+    larger subtracted sum and the lower cost.  The search checks the
+    deadline of limits every STEPS_PER_CLOCK_CHECK nodes.
     """
     members = []
     for m in sorted(map(frozenset, family.members), key=len):
@@ -210,6 +211,7 @@ def min_transversal_weight(family):
         for m in members
     ]
     best = [sum(cost.values()) + 1, None]  # cost, set
+    nodes = itertools.count(1)
 
     def lower_bound(unhit):
         # pairwise-disjoint unhit members must be hit by distinct elements,
@@ -223,6 +225,8 @@ def min_transversal_weight(family):
         return lb
 
     def search(unhit, chosen, spent):
+        if not next(nodes) % STEPS_PER_CLOCK_CHECK:
+            limits.check_time()
         if not unhit:
             if spent < best[0]:
                 best[:] = [spent, chosen]
@@ -237,12 +241,14 @@ def min_transversal_weight(family):
     return witness.weight, witness
 
 
-def minimal_transversals(family):
-    """All inclusion-minimal transversals, canonically sorted."""
+def minimal_transversals(family, limits=DEFAULT_LIMITS):
+    """All inclusion-minimal transversals, canonically sorted; the search
+    checks the deadline of limits every STEPS_PER_CLOCK_CHECK nodes."""
     members = sorted((frozenset(m) for m in family.members), key=lambda m: (len(m), _set_key(m)))
     if any(not m for m in members):
         raise NoTransversalError("a family member is empty; no transversal exists")
     found = set()
+    nodes = itertools.count(1)
 
     def is_minimal(chosen):
         for e in chosen:
@@ -252,6 +258,8 @@ def minimal_transversals(family):
         return True
 
     def search(chosen, idx):
+        if not next(nodes) % STEPS_PER_CLOCK_CHECK:
+            limits.check_time()
         while idx < len(members) and members[idx] & chosen:
             idx += 1
         if idx == len(members):
@@ -304,7 +312,7 @@ def packed_transversal_generators(g, s, dependents, order, limits=DEFAULT_LIMITS
     under the deadline of limits.
     """
     gens = []
-    for elements in minimal_transversals(delta_family(g, s, dependents)):
+    for elements in minimal_transversals(delta_family(g, s, dependents), limits):
         limits.check_time()
         base = {0: 1}
         t = _split(elements)
@@ -321,14 +329,15 @@ def transversal_ideal_generic(g, s):
     return _unpacked(packed_transversal_generators(g, s, None, order), order)
 
 
-def pair_dominating_sets(g, s, minimal_only=True):
+def pair_dominating_sets(g, s, minimal_only=True, limits=DEFAULT_LIMITS):
     """Elements of D_c(V1, V2): traces on each side connect-dominate that
     side plus the cut.  With minimal_only, just the inclusion-minimal ones
-    (these are exactly the unions of minimal sets per side)."""
+    (these are exactly the unions of minimal sets per side).  The searches
+    run under the deadline of limits."""
     s = frozenset(s)
     per_side = []
     for side in two_cut_sides(g, s):
-        sets = list(connected_dominating_sets(induced_subgraph(g, side | s), side))
+        sets = list(connected_dominating_sets(induced_subgraph(g, side | s), side, limits))
         if minimal_only:
             sets = [b for b in sets if not any(c < b for c in sets)]
         per_side.append(sets)
@@ -341,7 +350,7 @@ def _cut_generators(g, s, minimal_only, order, limits):
     in B1 and j in B2, and every split C, D of the rest of B1 u B2; the
     build runs under the deadline of limits."""
     gens = []
-    for b1, b2 in pair_dominating_sets(g, s, minimal_only):
+    for b1, b2 in pair_dominating_sets(g, s, minimal_only, limits):
         limits.check_time()
         for i in sorted(b1):
             for j in sorted(b2):

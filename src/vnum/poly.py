@@ -328,13 +328,6 @@ class Polynomial:
             raise PreconditionError("zero polynomial has no leading monomial")
         return max(self.terms, key=order.key)
 
-    def monic(self, order):
-        lc = self.terms[self.leading_monomial(order)]
-        if lc == 1:
-            return self
-        inv = Fraction(1, 1) / lc
-        return Polynomial(self.width, {m: c * inv for m, c in self.terms.items()})
-
     def sorted_terms(self, order=None):
         order = order or MonomialOrder(self.width // 2)
         return sorted(self.terms.items(), key=lambda mc: order.key(mc[0]), reverse=True)

@@ -1,13 +1,17 @@
-"""The names the benchmark's tracer wraps must exist in vnum.
+"""The names the benchmark's tracer wraps must exist in vnum, and the
+tracer must still count a report.
 
 bench/layers.py patches each (module, function) of TARGETS and SITE_TARGETS
-by getattr, and tier-1 never runs a traced benchmark, so a renamed function
-would otherwise go unnoticed.  The lists are read as literals, without
-importing or changing the benchmark.
+by getattr, and its counters read the results of the calls it wraps; tier-1
+never runs a traced benchmark, so a renamed function or a changed result
+would otherwise go unnoticed.  The lists are read as literals, and the
+tracer is loaded by path, without changing the benchmark.
 """
 
 import ast
 import importlib
+import importlib.util
+import sys
 from pathlib import Path
 
 LAYERS = Path(__file__).resolve().parent.parent / "bench" / "layers.py"
@@ -34,3 +38,25 @@ def test_every_traced_name_resolves():
         if not callable(getattr(importlib.import_module(f"vnum.{module}"), name, None))
     ]
     assert missing == []
+
+
+def test_the_tracer_counts_a_report_and_uninstalls_cleanly():
+    import vnum.cli  # noqa: F401  the tracer patches every module it names
+    from vnum import cycle_graph, vnumber
+
+    spec = importlib.util.spec_from_file_location("bench_layers", LAYERS)
+    layers = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(layers)
+    modules = [m for name, m in sys.modules.items() if name == "vnum" or name.startswith("vnum.")]
+    before = [dict(vars(m)) for m in modules]
+    tracer = layers.Tracer().install()
+    try:
+        assert vnumber(cycle_graph(5)).global_v == 3
+    finally:
+        tracer.uninstall()
+    metrics = tracer.metrics()
+    assert metrics["groebner.buchberger.calls"] >= 1
+    assert metrics["groebner.basis_polys"] > 0
+    assert all(
+        vars(m).get(attr) is value for m, names in zip(modules, before) for attr, value in names.items()
+    )

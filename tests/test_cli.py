@@ -181,6 +181,21 @@ def test_gb_runs_under_the_time_budget(tmp_path, monkeypatch, capsys):
     assert err.startswith("error: time budget exceeded") and "Traceback" not in err
 
 
+def test_bounds_only_searches_run_under_the_time_budget(tmp_path, monkeypatch):
+    """The transversal search at the cut {2,5,8,11,15,16} of the 3 x 6 grid
+    takes seconds; under a 5 ms budget it stops with an empty window, and
+    the bounds-only run exits 4."""
+    edges = [(i, i + 1) for i in range(1, 19) if i % 6] + [(i, i + 6) for i in range(1, 13)]
+    grid = tmp_path / "grid.txt"
+    grid.write_text("n 18\n" + "".join(f"{u} {v}\n" for u, v in edges))
+    monkeypatch.setenv("VNUM_TIME_BUDGET_SECS", "0.005")
+    code, text = run_main(
+        ["compute", str(grid), "--prime", "2,5,8,11,15,16", "--bounds-only", "--json"])
+    assert code == EXIT_RESOURCE
+    (entry,) = json.loads(text)["primes"]
+    assert entry["v"] is None and entry["window"] == {"lo": None, "hi": None}
+
+
 def test_limits_from_env(monkeypatch):
     monkeypatch.setenv("VNUM_MAX_POLYS", "123")
     monkeypatch.setenv("VNUM_MAX_DEGREE", "7")
@@ -382,8 +397,8 @@ def test_formula_mismatch_exits_disagree(c5_file, monkeypatch):
 
     honest = vnum.edgeideals._combinatorial_value
 
-    def off_by_one(g, rec):
-        comb = honest(g, rec)
+    def off_by_one(g, rec, limits):
+        comb = honest(g, rec, limits)
         return None if comb is None else comb + 1
 
     monkeypatch.setattr(vnum.edgeideals, "_combinatorial_value", off_by_one)

@@ -142,7 +142,7 @@ def test_certificate_equals_the_colon_it_replaces(small_connected_graphs):
             target = list(prime_component(g, s).generators)
             for f in common + [w * x_poly(1, g.n)]:
                 if f not in colons:
-                    colons[f] = colon_poly(edges, f, order)
+                    colons[f] = list(colon_poly(edges, f, order))
                 want = colons[f] == target
                 assert check_colon_equals_prime(g, f, s) == want, (sorted(g.edges), sorted(s), f)
                 assert check_colon_equals_prime(g, f, s, _work=work) == want
@@ -238,7 +238,7 @@ def test_colon_ideal_is_already_its_reduced_basis(small_connected_graphs):
         for rec in enumerate_min_cuts(g):
             if not rec.s and g.is_complete():
                 continue  # the pipeline answers 0 here without a colon
-            quot = colon_ideal(jg, list(prime_component(g, rec.s).generators), order)
+            quot = list(colon_ideal(jg, list(prime_component(g, rec.s).generators), order))
             assert quot == list(buchberger(quot, order).generators), (
                 sorted(g.edges), sorted(rec.s))
             checked += 1
@@ -341,14 +341,14 @@ def test_saturation_by_bridging_binomial_initial_ideal():
 
 def test_path_basis_check_rejects_a_basis_that_is_not_tail_reduced():
     from vnum.edgeideals import _assert_reduced_groebner
-    from vnum.groebner import DEFAULT_LIMITS, GroebnerBasis
+    from vnum.groebner import DEFAULT_LIMITS, GroebnerBasis, pack_poly
 
     n = 2
     order = MonomialOrder(n)
-    y1, x1 = y_poly(1, n), x_poly(1, n)
+    y1, x1 = pack_poly(y_poly(1, n), order), pack_poly(x_poly(1, n), order)
     # coprime leading terms y1 < x1 make both lists Groebner bases, ascending
-    _assert_reduced_groebner(GroebnerBasis((y1, x1), order), DEFAULT_LIMITS)
-    untidy = GroebnerBasis((y1, x1 + y1), order)  # tail y1 reduces
+    _assert_reduced_groebner(GroebnerBasis([y1, x1], order), DEFAULT_LIMITS)
+    untidy = GroebnerBasis([y1, {**x1, **y1}], order)  # tail y1 reduces
     assert is_groebner_basis(list(untidy.generators), order)
     with pytest.raises(AssertionError, match="tail-reduced"):
         _assert_reduced_groebner(untidy, DEFAULT_LIMITS)
@@ -487,6 +487,46 @@ def test_oracle_shares_its_intersections_within_a_report(monkeypatch):
         made.clear()
         assert oracle_vnumber_at_prime(g, s) == report.entry(s).v
         assert len(made) == 12 - 2
+
+
+def test_a_report_converts_only_its_witness_candidates(monkeypatch):
+    """Bases pass between the engine, idealops and the pipeline packed: in a
+    serial report the Polynomial view of the J_G basis is never read, and
+    unpack_poly runs only on the witness candidates of each prime."""
+    import sys
+
+    import vnum.edgeideals as ei
+    import vnum.groebner as gr
+    import vnum.idealops as ideal_ops
+
+    jg, read, unpacked, candidates = [], [], [], []
+    build, view, unpack = ei.buchberger, gr.GroebnerBasis.generators, gr.unpack_poly
+    candidates_of = ideal_ops.min_new_degree_candidates
+
+    def building(*args):
+        jg.append(build(*args))
+        return jg[-1]
+
+    def unpacking(p, order):
+        unpacked.append(unpack(p, order))
+        return unpacked[-1]
+
+    def listing(*args):
+        d, cands = candidates_of(*args)
+        candidates.extend(cands)
+        return d, cands
+
+    monkeypatch.setattr(ei, "buchberger", building)
+    monkeypatch.setattr(gr.GroebnerBasis, "generators",
+                        property(lambda gb: read.append(gb) or view.func(gb)))
+    for name, module in list(sys.modules.items()):
+        if name.startswith("vnum.") and getattr(module, "unpack_poly", None) is unpack:
+            monkeypatch.setattr(module, "unpack_poly", unpacking)
+    monkeypatch.setattr(ideal_ops, "min_new_degree_candidates", listing)
+    report = vnumber(cycle_graph(6))
+    assert report.global_v == 4 and len(jg) == 1
+    assert not any(gb is jg[0] for gb in read)
+    assert len(candidates) >= len(report.per_prime) and unpacked == candidates
 
 
 def test_vnumber_builds_the_jg_basis_once(monkeypatch):
