@@ -46,24 +46,19 @@ from .idealops import (
     NoNewElementError,
     colon_ideal,
     colon_poly,
-    ideal_membership,
     initial_ideal,
     intersect,
     min_new_degree,
-    radical_membership,
 )
 from .matroids import (
     RankTwoMatroid,
     Transversal,
     TransversalFamily,
-    concise_cut_generators,
-    cut_generators_full,
     delta_family,
     matroid_of_cut,
     min_transversal_weight,
     minimal_transversals,
     small_dependent_diff,
-    transversal_ideal_generic,
 )
 from .edgeideals import (
     PrimeResult,

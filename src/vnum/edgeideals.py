@@ -62,6 +62,16 @@ def edge_ideal_gens(g):
     return [edge_binomial(u, v, g.n) for u, v in sorted(g.edges)]
 
 
+def _component_minors(g, s):
+    """The 2-minors x_a y_b - x_b y_a, a < b, inside each component of the
+    graph minus S: the quadrics of P_S."""
+    return [
+        edge_binomial(a, b, g.n)
+        for comp in components_within(g, g.vertices - s)
+        for a, b in itertools.combinations(sorted(comp), 2)
+    ]
+
+
 def prime_component(g, s):
     """The prime P_S as its reduced basis under the default order: x_i and
     y_i for i in S, and the 2-minors x_a y_b - x_b y_a, a < b, inside each
@@ -72,15 +82,22 @@ def prime_component(g, s):
     s = frozenset(s)
     if not s <= g.vertices:
         raise PreconditionError("cut contains non-vertices")
-    gens = []
-    for i in sorted(s):
-        gens.append(x_poly(i, g.n))
-        gens.append(y_poly(i, g.n))
-    for comp in components_within(g, g.vertices - s):
-        for a, b in itertools.combinations(sorted(comp), 2):
-            gens.append(edge_binomial(a, b, g.n))
+    gens = [v(i, g.n) for i in sorted(s) for v in (x_poly, y_poly)]
+    gens += _component_minors(g, s)
     order = MonomialOrder(g.n)
     return GroebnerBasis(sorted((pack_poly(p, order) for p in gens), key=max), order)
+
+
+def colon_generators(g, s):
+    """What vnumber_at_prime folds colon_ideal over at the cut S: the linear
+    form h = sum of x_i over S, then the 2-minors of P_S.  The empty cut has
+    no h, so it gets exactly the generators of P_0.  (J_G : h, minors) =
+    (J_G : P_S); vnumber_at_prime gives the proof."""
+    s = frozenset(s)
+    minors = _component_minors(g, s)
+    if not s:
+        return minors
+    return [sum((x_poly(i, g.n) for i in sorted(s)), Polynomial.zero(2 * g.n))] + minors
 
 
 # ---------------------------------------------------------------------------
@@ -194,7 +211,15 @@ class GraphWork:
     leaves it for the next), which carries the colons (J_G : f) that
     colon_ideal memoises; and the oracle's running intersections of the
     primes, before[m] that of the first m + 1 cuts and after[m] that of the
-    last m + 1, each grown when first needed."""
+    last m + 1, each grown when first needed.
+
+    The memoised f are the linear forms h = sum of x_i over S and the
+    2-minors that vnumber_at_prime folds over (colon_generators).  As J_G
+    is radical, (J_G : h) is the intersection of the P_T with T not
+    containing S, and the minors then remove the P_T with T strictly
+    containing S; vnumber_at_prime gives the proof.  Two cuts share the
+    colon by a minor f_ab when a and b lie in one component of G - S for
+    each; each cut has its own h."""
 
     cuts: list
     dependents: dict
@@ -276,19 +301,39 @@ def vnumber_at_prime(g, s, limits=DEFAULT_LIMITS, _work=None):
     least-degree element of it outside J_G.  At the empty cut and the cuts
     with two sides the colon is first sought as the basis of J_G + L_S (see
     _transversal_colon); otherwise, or when that basis has a leading
-    monomial that is not squarefree, it is the fold of colon_ideal.  Both
+    monomial that is not squarefree, it is the fold of colon_ideal over
+    colon_generators: the linear form h = sum of x_i over S, then the
+    2-minors of P_S, in place of the 2|S| variables and the minors.  That
+    fold gives (J_G : P_S) because J_G is radical and its minimal primes
+    are the P_T of the cuts T, none inside another (Herzog, Hibi,
+    Hreinsdottir, Kahle and Rauh, 2010):
+
+        - P_T is generated by x_j and y_j for j in T and by quadrics, so
+          its linear forms are spanned by those variables, and h lies in
+          P_T exactly when S is a subset of T;
+        - for a radical J, (J : I) is the intersection of the minimal
+          primes of J that do not contain I; here I = (h, minors);
+        - a T that does not contain S has h outside P_T;
+        - a T that strictly contains S has some minor of P_S outside P_T,
+          as P_S is not inside P_T and every x_i and y_i with i in S lies
+          in P_T;
+        - so (J_G : I) is the intersection of the P_T with T other than S,
+          which is (J_G : P_S).
+
+    At a cut inside no other cut, (J_G : h) already is that intersection,
+    and the fold's containment shortcut skips every minor.  All routes
     give the reduced basis of one ideal, which is unique, so the witness is
     the same either way.  Any such f has (J_G : f) = P_S, because J_G is
-    radical (Herzog, Hibi, Hreinsdottir, Kahle and Rauh, 2010): f P_S lies
-    in J_G, so every minimal prime that misses f contains P_S and, being
-    minimal, is P_S.  The certificate (J_G : f) = P_S is still checked, by
-    three memberships against P_S and the report's basis of J_G (see
-    check_colon_equals_prime), and its failure is an AssertionError; at the
-    primes the route serves, the domination formulas also check the value
-    independently.  For the complete graph at the empty cut the ideal is
-    already prime and the value is 0 with witness 1.  Runs under the clock
-    of limits, started here unless it already runs.  _work is the report's
-    GraphWork; without it the cuts are enumerated here.
+    radical: f P_S lies in J_G, so every minimal prime that misses f
+    contains P_S and, being minimal, is P_S.  The certificate
+    (J_G : f) = P_S is still checked, by three memberships against P_S and
+    the report's basis of J_G (see check_colon_equals_prime), and its
+    failure is an AssertionError; at the primes the route serves, the
+    domination formulas also check the value independently.  For the
+    complete graph at the empty cut the ideal is already prime and the
+    value is 0 with witness 1.  Runs under the clock of limits, started
+    here unless it already runs.  _work is the report's GraphWork; without
+    it the cuts are enumerated here.
     """
     limits = limits.start_clock()
     work = GraphWork.of(g) if _work is None else _work
@@ -301,7 +346,7 @@ def vnumber_at_prime(g, s, limits=DEFAULT_LIMITS, _work=None):
         work.jg = buchberger(edge_ideal_gens(g), order, limits)
     quot = _transversal_colon(g, rec, work, order, limits)
     if quot is None:
-        quot = colon_ideal(work.jg, prime_component(g, s), order, limits)
+        quot = colon_ideal(work.jg, colon_generators(g, s), order, limits)
     d, w = min_new_degree(quot, work.jg, order, limits)
     if not check_colon_equals_prime(g, w, s, limits, _work=work):
         raise AssertionError("(J_G : w) != P_S for the witness w; impossible as J_G is radical")
@@ -377,7 +422,7 @@ def _window(g, rec, comb, dependents, limits):
     """(lo, hi) for one prime; dependents is the report's GraphWork.dependents."""
     if comb is not None:
         return (comb, comb)
-    weight, _ = min_transversal_weight(delta_family(g, rec.s, dependents), limits)
+    weight, _ = min_transversal_weight(delta_family(g, rec.s, dependents, limits), limits)
     return (0, weight)
 
 

@@ -14,10 +14,10 @@ would outgrow its field (above MAX_EXPONENT) raises ResourceLimitError,
 checked before every product the engine forms, so a field never wraps
 into its neighbour.
 
-The auxiliary variable t of intersection, colon and radical membership is
-the top field of the t-elimination order, whose x and y fields are those of
-the order without t: a t-free monomial is the same int in both, and
-multiplying by t adds one constant.
+The auxiliary variable t of intersection and colon is the top field of
+the t-elimination order, whose x and y fields are those of the order
+without t: a t-free monomial is the same int in both, and multiplying by t
+adds one constant.
 
 Pair selection uses the normal strategy (smallest lcm first, ties broken by
 the lex key of the lcm and then by the pair's indices).  The pairs wait in
@@ -261,7 +261,7 @@ def normal_form(f, basis, order=None, limits=DEFAULT_LIMITS):
     if isinstance(basis, (GroebnerBasis, ReducerTable)):
         if order is None:
             order = basis.order
-        elif not basis.order.same_as(order):
+        elif basis.order != order:
             raise PreconditionError("basis order does not match requested order")
         table = basis.reducers if isinstance(basis, GroebnerBasis) else basis
     elif order is None:
@@ -466,7 +466,7 @@ def packed_radical_sum(gb, qs, limits):
 
 
 # ---------------------------------------------------------------------------
-# the auxiliary variable t: intersection, colon and radical membership
+# the auxiliary variable t: intersection and colon
 # ---------------------------------------------------------------------------
 
 def _t_extension(order):
@@ -513,9 +513,3 @@ def _exact_quotient(p, row, guard):
         q[shift] = k = c if lc_f == 1 else Fraction(c, 1) / lc_f
         _subtract(p, tail, shift, k)
     return q
-
-
-def packed_radical_contains(ps, f, order, limits):
-    """Rabinowitsch test: f lies in the radical of (ps) iff 1 in (ps, 1 - t*f)."""
-    eorder, t = _t_extension(order)
-    return _buchberger(ps + [{0: 1, **_times_t(f, t, -1)}], eorder, limits) == [{0: 1}]

@@ -1,14 +1,14 @@
 """Ideal-theoretic operations built on the Buchberger engine.
 
-One mechanism serves intersection, colon and radical membership: extend the
-ring by a single auxiliary variable t, compute a Groebner basis under the
-elimination order with t greatest, and read off the t-free part.  The
-engine does that on packed polynomials (see groebner).  An ideal comes in
-as a GroebnerBasis, whose packed generators are used as they are, or as a
-list of Polynomials, packed on entry; intersect, colon_poly and
-colon_ideal return the reduced GroebnerBasis the engine computed, still
-packed.  Only min_new_degree_candidates converts a result to Polynomials,
-and only its least-degree remainders, the witness candidates.
+One mechanism serves intersection and colon: extend the ring by a single
+auxiliary variable t, compute a Groebner basis under the elimination order
+with t greatest, and read off the t-free part.  The engine does that on
+packed polynomials (see groebner).  An ideal comes in as a GroebnerBasis,
+whose packed generators are used as they are, or as a list of
+Polynomials, packed on entry; intersect, colon_poly and colon_ideal return
+the reduced GroebnerBasis the engine computed, still packed.  Only
+min_new_degree_candidates converts a result to Polynomials, and only its
+least-degree remainders, the witness candidates.
 """
 
 from __future__ import annotations
@@ -19,16 +19,14 @@ from .groebner import (
     GroebnerBasis,
     _sort_key,
     buchberger,
-    normal_form,
     pack_poly,
     packed_colon,
     packed_intersection,
     packed_is_squarefree,
     packed_product,
-    packed_radical_contains,
     unpack_poly,
 )
-from .poly import MonomialOrder, Polynomial
+from .poly import Polynomial
 
 
 class NoNewElementError(VnumError):
@@ -37,21 +35,14 @@ class NoNewElementError(VnumError):
 
 def as_basis(gens, order, limits=DEFAULT_LIMITS):
     """Coerce a generator list (or an existing basis for the order) to a GB."""
-    if isinstance(gens, GroebnerBasis) and gens.order.same_as(order):
+    if isinstance(gens, GroebnerBasis) and gens.order == order:
         return gens
     return buchberger(gens, order, limits)
 
 
-def ideal_membership(f, gens, order=None, limits=DEFAULT_LIMITS):
-    """True iff f lies in the ideal generated by gens."""
-    if order is None:
-        order = gens.order if isinstance(gens, GroebnerBasis) else MonomialOrder(f.width // 2)
-    return normal_form(f, as_basis(gens, order, limits), limits=limits).is_zero
-
-
 def _packed(gens, order):
     """The nonzero generators of a list or a basis, packed by order."""
-    if isinstance(gens, GroebnerBasis) and gens.order.same_as(order):
+    if isinstance(gens, GroebnerBasis) and gens.order == order:
         return gens.packed
     return [pack_poly(g, order) for g in gens if not g.is_zero]
 
@@ -90,6 +81,15 @@ def colon_ideal(gens, pgens, order, limits=DEFAULT_LIMITS):
     is already contained in changes nothing.  Each (I : f) is memoised in
     the colons of the basis of I, keyed by the _sort_key of the packed f,
     so calls that pass the same basis share them.
+
+    When I is radical, (I : P) is the intersection of the minimal primes of
+    I that do not contain P, so any generators of an ideal contained in
+    the same minimal primes of I as P give the same basis.
+    edgeideals.vnumber_at_prime uses that to fold over the linear form
+    h = sum of x_i over S and the 2-minors of P_S instead of the 2|S|
+    variables of P_S; its docstring gives the proof.  With h first, a cut
+    inside no other cut has its answer after one colon, and the second
+    shortcut skips every minor.
     """
     pg = {_sort_key(p): p for p in _packed(pgens, order)}
     if not pg:
@@ -113,11 +113,6 @@ def colon_ideal(gens, pgens, order, limits=DEFAULT_LIMITS):
         result = cf if result is None else packed_intersection(result, cf, order, limits)
     # with no result every generator of P lies in I, hence P subset I and (I : P) = (1)
     return GroebnerBasis([{0: 1}] if result is None else result, order)
-
-
-def radical_membership(f, gens, order, limits=DEFAULT_LIMITS):
-    """Rabinowitsch test: f in sqrt(I) iff 1 in I + (1 - t*f)."""
-    return packed_radical_contains(_packed(gens, order), pack_poly(f, order), order, limits)
 
 
 def initial_ideal(gb):

@@ -22,12 +22,10 @@ from .graphs import (
     is_minimal_kcut,
     two_cut_sides,
 )
-from .groebner import DEFAULT_LIMITS, STEPS_PER_CLOCK_CHECK, pack_poly, packed_product, unpack_poly
+from .groebner import DEFAULT_LIMITS, STEPS_PER_CLOCK_CHECK, pack_poly, packed_product
 from .poly import (
-    MonomialOrder,
     edge_binomial,
     monomial,
-    sorted_generators,
     x_index,
     y_index,
 )
@@ -145,7 +143,7 @@ def cut_dependents(g, cuts):
     return out
 
 
-def delta_family(g, s, dependents=None):
+def delta_family(g, s, dependents=None, limits=DEFAULT_LIMITS):
     """One member per other minimal prime: D(M(S')) minus D(M(S)).
 
     A set of at most two elements is dependent in M(S) exactly when it lies
@@ -155,7 +153,8 @@ def delta_family(g, s, dependents=None):
     dependents is cut_dependents of one enumeration of g, so a report that
     needs the family of every prime computes each D once; without it the
     cuts are enumerated here.  An s outside the enumeration raises
-    PreconditionError.
+    PreconditionError.  The member loop checks the deadline of limits every
+    STEPS_PER_CLOCK_CHECK cuts.
     """
     s = frozenset(s)
     if dependents is None:
@@ -165,7 +164,9 @@ def delta_family(g, s, dependents=None):
         raise PreconditionError(f"{sorted(s)} is not the empty set or a minimal k-cut")
     members = []
     sources = []
-    for other, deps in dependents.items():
+    for step, (other, deps) in enumerate(dependents.items(), 1):
+        if not step % STEPS_PER_CLOCK_CHECK:
+            limits.check_time()
         if other != s:
             members.append(deps - base)
             sources.append(other)
@@ -187,11 +188,14 @@ def min_transversal_weight(family, limits=DEFAULT_LIMITS):
     than 2^E, so cost orders sets by weight first; and of two sets of equal
     weight, neither contains the other, so the one holding the least
     element where they differ, the lexicographically lesser, has the
-    larger subtracted sum and the lower cost.  The search checks the
-    deadline of limits every STEPS_PER_CLOCK_CHECK nodes.
+    larger subtracted sum and the lower cost.  The inclusion-minimal filter
+    checks the deadline of limits every STEPS_PER_CLOCK_CHECK members, and
+    the search every STEPS_PER_CLOCK_CHECK nodes.
     """
     members = []
-    for m in sorted(map(frozenset, family.members), key=len):
+    for step, m in enumerate(sorted(map(frozenset, family.members), key=len), 1):
+        if not step % STEPS_PER_CLOCK_CHECK:
+            limits.check_time()
         if not any(k <= m for k in members):
             members.append(m)
     if any(not m for m in members):
@@ -295,10 +299,6 @@ def _distinct(polys):
     return list({frozenset(p.items()): p for p in polys}.values())
 
 
-def _unpacked(packed, order):
-    return sorted_generators(unpack_poly(p, order) for p in packed)
-
-
 def packed_transversal_generators(g, s, dependents, order, limits=DEFAULT_LIMITS):
     """The generators of the transversal ideal L_S, packed by order and
     without repeats: for each inclusion-minimal transversal of the delta
@@ -312,7 +312,7 @@ def packed_transversal_generators(g, s, dependents, order, limits=DEFAULT_LIMITS
     under the deadline of limits.
     """
     gens = []
-    for elements in minimal_transversals(delta_family(g, s, dependents), limits):
+    for elements in minimal_transversals(delta_family(g, s, dependents, limits), limits):
         limits.check_time()
         base = {0: 1}
         t = _split(elements)
@@ -320,13 +320,6 @@ def packed_transversal_generators(g, s, dependents, order, limits=DEFAULT_LIMITS
             base = packed_product(base, pack_poly(edge_binomial(*sorted(pair), g.n), order), order)
         gens.extend(_split_products(base, sorted(t.singles), order))
     return _distinct(gens)
-
-
-def transversal_ideal_generic(g, s):
-    """packed_transversal_generators as Polynomials under the default order,
-    sorted by degree and then canonical key."""
-    order = MonomialOrder(g.n)
-    return _unpacked(packed_transversal_generators(g, s, None, order), order)
 
 
 def pair_dominating_sets(g, s, minimal_only=True, limits=DEFAULT_LIMITS):
@@ -368,18 +361,3 @@ def packed_concise_generators(g, s, order, limits=DEFAULT_LIMITS):
     it may be smaller.
     """
     return _cut_generators(g, s, True, order, limits)
-
-
-def concise_cut_generators(g, s):
-    """packed_concise_generators as Polynomials under the default order,
-    sorted by degree and then canonical key."""
-    order = MonomialOrder(g.n)
-    return _unpacked(packed_concise_generators(g, s, order), order)
-
-
-def cut_generators_full(g, s):
-    """Same recipe over every member of D_c(V1, V2); this is the finite
-    generating set whose union with the admissible-path basis is checked
-    against the Buchberger criterion."""
-    order = MonomialOrder(g.n)
-    return _unpacked(_cut_generators(g, s, False, order, DEFAULT_LIMITS), order)

@@ -61,26 +61,8 @@ def mono_mul(a, b):
     return tuple(x + y for x, y in zip(a, b))
 
 
-def mono_divides(a, b):
-    """True when a | b."""
-    return all(x <= y for x, y in zip(a, b))
-
-
-def mono_div(a, b):
-    """a / b; caller guarantees divisibility."""
-    return tuple(x - y for x, y in zip(a, b))
-
-
-def mono_lcm(a, b):
-    return tuple(max(x, y) for x, y in zip(a, b))
-
-
 def mono_degree(a):
     return sum(a)
-
-
-def mono_coprime(a, b):
-    return all(x == 0 or y == 0 for x, y in zip(a, b))
 
 
 def mono_is_squarefree(a):
@@ -194,8 +176,14 @@ class MonomialOrder:
     def greater(self, a, b):
         return self.key(a) > self.key(b)
 
-    def same_as(self, other):
+    def __eq__(self, other):
+        """Orders are values: equal n, sigma and elim_t give the same order."""
+        if not isinstance(other, MonomialOrder):
+            return NotImplemented
         return (self.n, self.sigma, self.elim_t) == (other.n, other.sigma, other.elim_t)
+
+    def __hash__(self):
+        return hash((self.n, self.sigma, self.elim_t))
 
     def __repr__(self):
         tag = ", elim_t" if self.elim_t else ""

@@ -181,19 +181,55 @@ def test_gb_runs_under_the_time_budget(tmp_path, monkeypatch, capsys):
     assert err.startswith("error: time budget exceeded") and "Traceback" not in err
 
 
+GRID_EDGES = [(i, i + 1) for i in range(1, 19) if i % 6] + [(i, i + 6) for i in range(1, 13)]
+GRID_CUT = frozenset({2, 5, 8, 11, 15, 16})
+
+
 def test_bounds_only_searches_run_under_the_time_budget(tmp_path, monkeypatch):
     """The transversal search at the cut {2,5,8,11,15,16} of the 3 x 6 grid
     takes seconds; under a 5 ms budget it stops with an empty window, and
     the bounds-only run exits 4."""
-    edges = [(i, i + 1) for i in range(1, 19) if i % 6] + [(i, i + 6) for i in range(1, 13)]
     grid = tmp_path / "grid.txt"
-    grid.write_text("n 18\n" + "".join(f"{u} {v}\n" for u, v in edges))
+    grid.write_text("n 18\n" + "".join(f"{u} {v}\n" for u, v in GRID_EDGES))
     monkeypatch.setenv("VNUM_TIME_BUDGET_SECS", "0.005")
     code, text = run_main(
         ["compute", str(grid), "--prime", "2,5,8,11,15,16", "--bounds-only", "--json"])
     assert code == EXIT_RESOURCE
     (entry,) = json.loads(text)["primes"]
     assert entry["v"] is None and entry["window"] == {"lo": None, "hi": None}
+
+
+def test_window_search_set_up_checks_the_clock(monkeypatch):
+    """At the grid prime, delta_family's loop over the 2,203 cuts and the
+    inclusion-minimal filter over the 2,202 members at the top of
+    min_transversal_weight each check the clock every STEPS_PER_CLOCK_CHECK
+    steps, before the branch and bound's first check."""
+    from vnum.edgeideals import GraphWork
+    from vnum.graphs import Graph
+    from vnum.groebner import DEFAULT_LIMITS, STEPS_PER_CLOCK_CHECK, Limits
+    from vnum.matroids import delta_family, min_transversal_weight
+
+    class Stop(Exception):
+        pass
+
+    callers = []
+
+    def counting_check(self):
+        callers.append(sys._getframe(1).f_code.co_name)
+        if callers[-1] == "search":
+            raise Stop
+
+    grid = Graph.make(18, GRID_EDGES)
+    work = GraphWork.of(grid)
+    monkeypatch.setattr(Limits, "check_time", counting_check)
+    family = delta_family(grid, GRID_CUT, work.dependents, DEFAULT_LIMITS)
+    assert callers == ["delta_family"] * (len(work.dependents) // STEPS_PER_CLOCK_CHECK)
+    callers.clear()
+    with pytest.raises(Stop):
+        min_transversal_weight(family, DEFAULT_LIMITS)
+    filter_checks = len(family.members) // STEPS_PER_CLOCK_CHECK
+    assert callers == ["min_transversal_weight"] * filter_checks + ["search"]
+    assert filter_checks == 8
 
 
 def test_limits_from_env(monkeypatch):

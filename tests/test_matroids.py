@@ -11,16 +11,14 @@ from vnum.cycles import cycle_graph
 from vnum.matroids import (
     RankTwoMatroid,
     TransversalFamily,
-    concise_cut_generators,
-    cut_generators_full,
     delta_family,
     matroid_of_cut,
     min_transversal_weight,
     minimal_transversals,
     small_dependent_diff,
-    transversal_ideal_generic,
 )
 from vnum.poly import edge_binomial, one_poly, poly_to_text
+from reference import concise_cut_generators, cut_generators_full, transversal_ideal_generic
 
 
 def fs(*items):

@@ -12,12 +12,8 @@ from vnum.poly import (
     MonomialOrder,
     Polynomial,
     edge_binomial,
-    mono_coprime,
     mono_degree,
-    mono_div,
-    mono_divides,
     mono_is_squarefree,
-    mono_lcm,
     mono_mul,
     one_poly,
     packed_divides,
@@ -29,6 +25,7 @@ from vnum.poly import (
     xy_monomial,
     y_poly,
 )
+from reference import mono_coprime, mono_div, mono_divides, mono_lcm
 
 
 def test_edge_binomial_text():
