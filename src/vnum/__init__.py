@@ -57,7 +57,6 @@ from .matroids import (
     delta_family,
     matroid_of_cut,
     min_transversal_weight,
-    minimal_transversals,
     small_dependent_diff,
 )
 from .edgeideals import (

@@ -45,7 +45,6 @@ from .matroids import (
     delta_family,
     min_transversal_weight,
     packed_concise_generators,
-    packed_transversal_generators,
 )
 from .poly import (
     MonomialOrder,
@@ -206,12 +205,14 @@ def check_colon_equals_prime(g, f, s, limits=DEFAULT_LIMITS, _work=None):
 @dataclass
 class GraphWork:
     """What the primes of one graph share within one report: its one cut
-    enumeration and the cut_dependents of it; the basis of J_G, built under
-    the clock of the first prime that needs it (a prime that hits a limit
-    leaves it for the next), which carries the colons (J_G : f) that
-    colon_ideal memoises; and the oracle's running intersections of the
-    primes, before[m] that of the first m + 1 cuts and after[m] that of the
-    last m + 1, each grown when first needed.
+    enumeration; the cut_dependents of it, which only the windows of the
+    cuts with three or more sides read, built by vnumber before its primes
+    run or else, like the basis of J_G, under the clock of the first prime
+    that needs it (a prime that hits a limit leaves it for the next); the
+    basis carries the colons (J_G : f) that colon_ideal memoises; and the
+    oracle's running intersections of the primes, before[m] that of the
+    first m + 1 cuts and after[m] that of the last m + 1, each grown when
+    first needed.
 
     The memoised f are the linear forms h = sum of x_i over S and the
     2-minors that vnumber_at_prime folds over (colon_generators).  As J_G
@@ -222,15 +223,14 @@ class GraphWork:
     each; each cut has its own h."""
 
     cuts: list
-    dependents: dict
+    dependents: dict | None = None
     jg: GroebnerBasis | None = None
     before: list = field(default_factory=list)
     after: list = field(default_factory=list)
 
     @classmethod
     def of(cls, g):
-        cuts = enumerate_min_cuts(g)
-        return cls(cuts, cut_dependents(g, cuts))
+        return cls(enumerate_min_cuts(g))
 
     def record(self, s):
         """The cut record of S; the only test that S indexes a minimal prime."""
@@ -270,26 +270,26 @@ def _transversal_colon(g, rec, work, order, limits):
     The paper gives (J_G : P_S) = sqrt(J_G + L_S), L_S the transversal ideal
     of the delta family of S.  When every leading monomial of the reduced
     basis of J_G + L_S is squarefree, the sum is radical, so that basis is
-    the colon's.  L_S is built from the generic generators at the empty cut
-    and from the concise ones, which give the same sum with J_G, at a cut
-    with two sides, where they are far fewer and faster to build and sum
-    with J_G.  Build and sum over all two-sided cuts, on a 2-vCPU machine
-    (builder_totals in tests/test_transversal_route.py):
+    the colon's.  At the empty cut and at a cut with two sides,
+    packed_concise_generators builds L_S from connected dominating sets,
+    with no delta family.  With J_G they give the same sum as the
+    definition's generators, which run over the minimal transversals of the
+    family (packed_transversal_generators in tests/reference.py); at a cut
+    with two sides they are far fewer.  Build and sum over all two-sided
+    cuts, on a 2-vCPU machine (builder_totals in
+    tests/test_transversal_route.py):
 
-        cycle  concise builder          generic builder
+        cycle  runtime builder          definition's generators
         C_8    0.16 s,  2,240 gens      0.71 s,   6,788 gens
         C_9    0.59 s,  8,064 gens      6.27 s,  37,215 gens
         C_10   1.97 s, 26,880 gens     59.4 s,  204,380 gens
 
-    The flag has held at every such prime measured, for both builders, and
-    at no cut with three or more sides, which the route leaves to the fold.
+    The flag has held at every such prime measured, and at no cut with
+    three or more sides, which the route leaves to the fold.
     """
-    if not rec.s:
-        gens = packed_transversal_generators(g, rec.s, work.dependents, order, limits)
-    elif rec.k == 2:
-        gens = packed_concise_generators(g, rec.s, order, limits)
-    else:
+    if rec.k > 2:
         return None
+    gens = packed_concise_generators(g, rec.s, order, limits)
     basis = packed_radical_sum(work.jg, gens, limits)
     return None if basis is None else GroebnerBasis(basis, order)
 
@@ -418,11 +418,15 @@ def _combinatorial_value(g, rec, limits):
     return None
 
 
-def _window(g, rec, comb, dependents, limits):
-    """(lo, hi) for one prime; dependents is the report's GraphWork.dependents."""
+def _window(g, rec, comb, work, limits):
+    """(lo, hi) for one prime; work is the report's GraphWork, whose
+    cut_dependents are built here, under the prime's clock, when the report
+    has not built them."""
     if comb is not None:
         return (comb, comb)
-    weight, _ = min_transversal_weight(delta_family(g, rec.s, dependents, limits), limits)
+    if work.dependents is None:
+        work.dependents = cut_dependents(g, work.cuts, limits)
+    weight, _ = min_transversal_weight(delta_family(g, rec.s, work.dependents, limits), limits)
     return (0, weight)
 
 
@@ -452,7 +456,7 @@ def prime_entry(rec, g, work, limits, with_oracle, algebraic):
     status, detail = "ok", ""
     try:
         comb = _combinatorial_value(g, rec, limits)
-        window = _window(g, rec, comb, work.dependents, limits)
+        window = _window(g, rec, comb, work, limits)
         if algebraic:
             v, witness = vnumber_at_prime(g, rec.s, limits, _work=work)
             if with_oracle:
@@ -491,12 +495,21 @@ def vnumber(g, limits=DEFAULT_LIMITS, with_oracle=False, algebraic=True, jobs=1)
     """Localized v-numbers at every minimal prime plus the global minimum.
 
     Enumerates the cuts once and builds each prime's entry with prime_entry.
-    The primes run on a process pool of at most one worker per prime and per
-    cpu, each task building its own J_G basis, when that is wider than one
-    worker; otherwise they run here and share one basis.  Entries stay in
-    prime order either way.
+    When some cut has three or more sides, every such prime's window reads
+    the cut_dependents, so they are built here once for the report, under a
+    clock of their own, before any prime's clock starts; if that clock runs
+    out, each window tries again under its prime's clock.  The primes run on
+    a process pool of at most one worker per prime and per cpu, each task
+    building its own J_G basis, when that is wider than one worker;
+    otherwise they run here and share one basis.  Entries stay in prime
+    order either way.
     """
     work = GraphWork.of(g)
+    if any(rec.k > 2 for rec in work.cuts):
+        try:
+            work.dependents = cut_dependents(g, work.cuts, limits.start_clock())
+        except ResourceLimitError:
+            pass
     entry = functools.partial(
         prime_entry, g=g, work=work, limits=limits,
         with_oracle=with_oracle, algebraic=algebraic,

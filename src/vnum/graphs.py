@@ -227,24 +227,29 @@ def is_connected_dominating(g, b):
 
 
 def connected_dominating_sets(g, within, limits=None):
-    """Every subset of within that connect-dominates g, by size and then
-    lexicographically; within must be a set of vertices of g.  Given
-    limits, the search checks their deadline after every 256 subsets of
-    one size.
+    """Every inclusion-minimal subset of within that connect-dominates g, by
+    size and then lexicographically; within must be a set of vertices of g.
+    Given limits, the search checks their deadline after every 256 subsets
+    of one size.
 
     The same test as is_connected_dominating, cheapest part first: a subset
     dominates when the bit masks of its closed neighbourhoods cover every
-    vertex, and only then is its induced subgraph searched for connectivity.
-    A connected set of k vertices has at least k - 1 edges inside it, so it
-    dominates at most k + (the sum of its degrees) - 2(k - 1) vertices; the
-    sizes at which even the k largest degrees in within fall short are
-    skipped.
+    vertex, and only then is it tested against the sets already yielded and
+    its induced subgraph searched for connectivity.  Sets come by size, so a
+    set that is not minimal contains a minimal one yielded before it, and a
+    set that contains none of those is minimal.  A first hit is a set of
+    least size, hence minimal, so a search that stops there does no work
+    for the filter.  A connected set of k vertices has at least k - 1 edges
+    inside it, so it dominates at most k + (the sum of its degrees) - 2(k - 1)
+    vertices; the sizes at which even the k largest degrees in within fall
+    short are skipped.
     """
     adj = g.adjacency
     closed = {v: sum(1 << u for u in adj[v]) | 1 << v for v in g.vertices}
     everything = sum(1 << v for v in g.vertices)
     verts = sorted(within)
     degrees = sorted((len(adj[v]) for v in verts), reverse=True)
+    kept = []
     for size in range(1, len(verts) + 1):
         if sum(degrees[:size]) - size + 2 < len(g.vertices):
             continue
@@ -256,6 +261,9 @@ def connected_dominating_sets(g, within, limits=None):
                 covered |= closed[v]
             if covered != everything:
                 continue
+            mask = sum(1 << v for v in combo)
+            if any(k & mask == k for k in kept):
+                continue
             inside = frozenset(combo)
             seen = {combo[0]}
             stack = [combo[0]]
@@ -265,11 +273,13 @@ def connected_dominating_sets(g, within, limits=None):
                         seen.add(u)
                         stack.append(u)
             if len(seen) == size:
+                kept.append(mask)
                 yield inside
 
 
 def gamma_c(g, limits=None):
-    """Connected domination number with its lexicographically least witness.
+    """Connected domination number with its lexicographically least witness,
+    the first set connected_dominating_sets yields.
 
     The one-vertex graph gets gamma_c = 1 (its sole vertex dominates
     vacuously); the search never needs the empty set.  limits is as for

@@ -5,7 +5,13 @@ The matroid of a cut S has S as loops and the components of the graph minus
 S as parallel classes; a subset is dependent exactly when it meets a loop,
 hits some class twice, or has three or more elements.  Family members below
 are sets of "small dependents": subsets of the vertex set of size one or
-two, encoded as frozensets.
+two, encoded as frozensets.  The delta family and its minimum transversal
+weight give the upper end of a prime's window.
+
+The generators of the transversal ideal L_S that the pipeline sums with
+J_G are built from connected dominating sets, with no delta family: at the
+empty cut and at a minimal 2-cut the minimal transversals are known in
+those terms (packed_concise_generators gives the proof).
 """
 
 from __future__ import annotations
@@ -22,7 +28,7 @@ from .graphs import (
     is_minimal_kcut,
     two_cut_sides,
 )
-from .groebner import DEFAULT_LIMITS, STEPS_PER_CLOCK_CHECK, pack_poly, packed_product
+from .groebner import DEFAULT_LIMITS, STEPS_PER_CLOCK_CHECK, pack_poly
 from .poly import (
     edge_binomial,
     monomial,
@@ -129,12 +135,15 @@ def _split(elements):
     return Transversal(singles, pairs)
 
 
-def cut_dependents(g, cuts):
+def cut_dependents(g, cuts, limits=DEFAULT_LIMITS):
     """{S: D(M(S))} for the cut records of one enumeration of g, in their
     order: the singletons and pairs dependent in the matroid of each cut,
-    listed straight from its loops and parallel classes."""
+    listed straight from its loops and parallel classes.  Checks the
+    deadline of limits every STEPS_PER_CLOCK_CHECK cuts."""
     out = {}
-    for rec in cuts:
+    for step, rec in enumerate(cuts, 1):
+        if not step % STEPS_PER_CLOCK_CHECK:
+            limits.check_time()
         deps = {frozenset({i}) for i in rec.s}
         deps.update(frozenset({i, j}) for i in rec.s for j in g.vertices if j != i)
         for comp in rec.components:
@@ -158,7 +167,7 @@ def delta_family(g, s, dependents=None, limits=DEFAULT_LIMITS):
     """
     s = frozenset(s)
     if dependents is None:
-        dependents = cut_dependents(g, enumerate_min_cuts(g))
+        dependents = cut_dependents(g, enumerate_min_cuts(g), limits)
     base = dependents.get(s)
     if base is None:
         raise PreconditionError(f"{sorted(s)} is not the empty set or a minimal k-cut")
@@ -245,38 +254,6 @@ def min_transversal_weight(family, limits=DEFAULT_LIMITS):
     return witness.weight, witness
 
 
-def minimal_transversals(family, limits=DEFAULT_LIMITS):
-    """All inclusion-minimal transversals, canonically sorted; the search
-    checks the deadline of limits every STEPS_PER_CLOCK_CHECK nodes."""
-    members = sorted((frozenset(m) for m in family.members), key=lambda m: (len(m), _set_key(m)))
-    if any(not m for m in members):
-        raise NoTransversalError("a family member is empty; no transversal exists")
-    found = set()
-    nodes = itertools.count(1)
-
-    def is_minimal(chosen):
-        for e in chosen:
-            rest = chosen - {e}
-            if all(m & rest for m in members):
-                return False
-        return True
-
-    def search(chosen, idx):
-        if not next(nodes) % STEPS_PER_CLOCK_CHECK:
-            limits.check_time()
-        while idx < len(members) and members[idx] & chosen:
-            idx += 1
-        if idx == len(members):
-            if is_minimal(chosen):
-                found.add(chosen)
-            return
-        for e in sorted(members[idx], key=_element_key):
-            search(chosen | {e}, idx + 1)
-
-    search(frozenset(), 0)
-    return sorted(found, key=_set_key)
-
-
 # ---------------------------------------------------------------------------
 # generators of the transversal ideal
 # ---------------------------------------------------------------------------
@@ -299,65 +276,53 @@ def _distinct(polys):
     return list({frozenset(p.items()): p for p in polys}.values())
 
 
-def packed_transversal_generators(g, s, dependents, order, limits=DEFAULT_LIMITS):
-    """The generators of the transversal ideal L_S, packed by order and
-    without repeats: for each inclusion-minimal transversal of the delta
-    family of S, the product of the binomials f_{i,j} of its pairs times
-    g_{C,D} for every split of its singletons into C and D.
-
-    Any transversal contains a minimal one and its generator is then a
-    multiple of the minimal one's, so restricting to minimal transversals
-    leaves the ideal unchanged.  The empty family (no other minimal primes)
-    gives the unit ideal.  dependents is as for delta_family; the build runs
-    under the deadline of limits.
-    """
-    gens = []
-    for elements in minimal_transversals(delta_family(g, s, dependents, limits), limits):
-        limits.check_time()
-        base = {0: 1}
-        t = _split(elements)
-        for pair in t.pairs:
-            base = packed_product(base, pack_poly(edge_binomial(*sorted(pair), g.n), order), order)
-        gens.extend(_split_products(base, sorted(t.singles), order))
-    return _distinct(gens)
-
-
-def pair_dominating_sets(g, s, minimal_only=True, limits=DEFAULT_LIMITS):
-    """Elements of D_c(V1, V2): traces on each side connect-dominate that
-    side plus the cut.  With minimal_only, just the inclusion-minimal ones
-    (these are exactly the unions of minimal sets per side).  The searches
-    run under the deadline of limits."""
-    s = frozenset(s)
-    per_side = []
-    for side in two_cut_sides(g, s):
-        sets = list(connected_dominating_sets(induced_subgraph(g, side | s), side, limits))
-        if minimal_only:
-            sets = [b for b in sets if not any(c < b for c in sets)]
-        per_side.append(sets)
-    return [(b1, b2) for b1 in per_side[0] for b2 in per_side[1]]
-
-
-def _cut_generators(g, s, minimal_only, order, limits):
-    """g_{C,D} * f_{i,j}, packed by order and without repeats, over the
-    members (B1, B2) of D_c(V1, V2), or its inclusion-minimal ones, every i
-    in B1 and j in B2, and every split C, D of the rest of B1 u B2; the
-    build runs under the deadline of limits."""
-    gens = []
-    for b1, b2 in pair_dominating_sets(g, s, minimal_only, limits):
-        limits.check_time()
-        for i in sorted(b1):
-            for j in sorted(b2):
-                f = pack_poly(edge_binomial(min(i, j), max(i, j), g.n), order)
-                gens.extend(_split_products(f, sorted((b1 | b2) - {i, j}), order))
-    return _distinct(gens)
-
-
 def packed_concise_generators(g, s, order, limits=DEFAULT_LIMITS):
-    """g_{C,D} * f_{i,j} over the inclusion-minimal members of D_c(V1, V2),
-    packed by order and without repeats.
+    """The generators of L_S, packed by order and without repeats, at the
+    empty cut of a non-complete connected g or at a minimal 2-cut S; any
+    other nonempty s raises PreconditionError.  The build runs under the
+    deadline of limits.
 
-    Together with the edge ideal this generates the same ideal as the
-    generic transversal generators (the concise generating set); on its own
-    it may be smaller.
+    At a minimal 2-cut with sides V1 and V2 they are g_{C,D} * f_{i,j} over
+    the inclusion-minimal members (B1, B2) of D_c(V1, V2), each Bk a minimal
+    set inside Vk that connect-dominates the graph on Vk and S; every i in
+    B1 and j in B2; and every split C, D of the rest of B1 u B2.  With the
+    edge ideal these generate the same ideal as the definition's generators
+    of L_S, one product of f_{i,j} over the pairs times g_{C,D} over the
+    splits of the singletons per minimal transversal of the delta family
+    (the concise generating set).
+
+    At the empty cut the one side is V and there is no pair: the generators
+    are g_{C,D} over the splits of each inclusion-minimal connected
+    dominating set (CDS) of g.  These are exactly the definition's:
+        - g is connected, so D(M(0)) holds every pair, and the member of
+          the delta family for a cut T is {{i} : i in T};
+        - a CDS B leaves g - T connected for every T inside V - B, as the
+          connected G[B] is left whole and dominates the rest, so B meets
+          every cut;
+        - if a nonempty B is not a CDS, some T inside V - B disconnects g:
+          N(v) for a vertex v that B does not dominate, or V - B when G[B]
+          is disconnected;
+        - an inclusion-minimal disconnecting subset of that T is a cut,
+          because putting back any one of its vertices reconnects g, so
+          that vertex has neighbours in two components;
+        - so a vertex set meets every cut exactly when it is a CDS, the
+          minimal transversals are the minimal CDS, and both recipes give
+          one generator set and so one basis with J_G.
+    A complete graph has no cut, so its L_0 is the unit ideal; vnumber_at_prime
+    settles that prime before any builder runs.
     """
-    return _cut_generators(g, s, True, order, limits)
+    s = frozenset(s)
+    sides = two_cut_sides(g, s) if s else [g.vertices]
+    per_side = [
+        list(connected_dominating_sets(induced_subgraph(g, side | s), side, limits))
+        for side in sides
+    ]
+    gens = []
+    for picks in itertools.product(*per_side):
+        limits.check_time()
+        union = frozenset().union(*picks)
+        # one f_{i,j} per i in B1 and j in B2 at a 2-cut, none at the empty cut
+        for pair in itertools.product(*map(sorted, picks)) if s else [()]:
+            base = pack_poly(edge_binomial(*sorted(pair), g.n), order) if pair else {0: 1}
+            gens.extend(_split_products(base, sorted(union - set(pair)), order))
+    return _distinct(gens)

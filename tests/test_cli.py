@@ -200,14 +200,14 @@ def test_bounds_only_searches_run_under_the_time_budget(tmp_path, monkeypatch):
 
 
 def test_window_search_set_up_checks_the_clock(monkeypatch):
-    """At the grid prime, delta_family's loop over the 2,203 cuts and the
-    inclusion-minimal filter over the 2,202 members at the top of
-    min_transversal_weight each check the clock every STEPS_PER_CLOCK_CHECK
-    steps, before the branch and bound's first check."""
+    """At the grid prime, cut_dependents' and delta_family's loops over the
+    2,203 cuts and the inclusion-minimal filter over the 2,202 members at
+    the top of min_transversal_weight each check the clock every
+    STEPS_PER_CLOCK_CHECK steps, before the branch and bound's first check."""
     from vnum.edgeideals import GraphWork
     from vnum.graphs import Graph
     from vnum.groebner import DEFAULT_LIMITS, STEPS_PER_CLOCK_CHECK, Limits
-    from vnum.matroids import delta_family, min_transversal_weight
+    from vnum.matroids import cut_dependents, delta_family, min_transversal_weight
 
     class Stop(Exception):
         pass
@@ -221,9 +221,14 @@ def test_window_search_set_up_checks_the_clock(monkeypatch):
 
     grid = Graph.make(18, GRID_EDGES)
     work = GraphWork.of(grid)
+    assert work.dependents is None
     monkeypatch.setattr(Limits, "check_time", counting_check)
-    family = delta_family(grid, GRID_CUT, work.dependents, DEFAULT_LIMITS)
-    assert callers == ["delta_family"] * (len(work.dependents) // STEPS_PER_CLOCK_CHECK)
+    dependents = cut_dependents(grid, work.cuts, DEFAULT_LIMITS)
+    cut_checks = len(work.cuts) // STEPS_PER_CLOCK_CHECK
+    assert callers == ["cut_dependents"] * cut_checks
+    callers.clear()
+    family = delta_family(grid, GRID_CUT, dependents, DEFAULT_LIMITS)
+    assert callers == ["delta_family"] * cut_checks
     callers.clear()
     with pytest.raises(Stop):
         min_transversal_weight(family, DEFAULT_LIMITS)

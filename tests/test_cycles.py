@@ -246,15 +246,16 @@ def test_interval_window_keeps_the_transversal_upper_end():
     localized_bounds; at every cut of three or more vertices the upper ends
     agree, so the replacement only raises the lower end."""
     from vnum.edgeideals import GraphWork
-    from vnum.matroids import delta_family, min_transversal_weight
+    from vnum.matroids import cut_dependents, delta_family, min_transversal_weight
 
     cuts = {}
     for n in range(6, 11):
         g = cycle_graph(n)
         work = GraphWork.of(g)
+        dependents = cut_dependents(g, work.cuts)
         big = [rec.s for rec in work.cuts if len(rec.s) >= 3]
         cuts[n] = len(big)
         for s in big:
-            weight, _ = min_transversal_weight(delta_family(g, s, work.dependents))
+            weight, _ = min_transversal_weight(delta_family(g, s, dependents))
             assert localized_bounds(n, s)[1] == weight, (n, sorted(s))
     assert cuts == {6: 2, 7: 7, 8: 18, 9: 39, 10: 77}

@@ -17,7 +17,7 @@ from vnum.graphs import (
     gamma_c_pair,
     path_graph,
 )
-from vnum.groebner import buchberger, is_groebner_basis
+from vnum.groebner import DEFAULT_LIMITS, buchberger, is_groebner_basis
 from vnum.idealops import as_basis, colon_ideal, colon_poly, intersect
 from vnum.edgeideals import (
     GraphWork,
@@ -577,6 +577,56 @@ def test_vnumber_enumerates_cuts_once_per_report(monkeypatch):
     assert [e.window for e in first.per_prime] == [e.window for e in second.per_prime]
     vnumber(cycle_graph(5), with_oracle=True)
     assert len(calls) == 3  # the oracle reads the report's cuts
+
+
+def test_only_the_windows_of_many_sided_cuts_build_the_dependents(monkeypatch):
+    """The empty cut and the 2-cuts take their windows from the domination
+    formulas and their L_S from connected dominating sets, so a report on
+    C_5, whose cuts are all of these, builds no cut dependents; C_6 builds
+    them once, for the delta families of its two 3-cuts.  A prime computed
+    alone builds them in its window."""
+    import vnum.edgeideals as ei
+    import vnum.matroids as mt
+
+    calls = []
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(ei, "cut_dependents", counting("dependents", mt.cut_dependents))
+    monkeypatch.setattr(ei, "delta_family", counting("family", mt.delta_family))
+    vnumber(cycle_graph(5))
+    assert calls == []
+    vnumber(cycle_graph(6))
+    assert calls == ["dependents", "family", "family"]
+    calls.clear()
+    g = cycle_graph(6)
+    work = GraphWork.of(g)
+    assert work.dependents is None
+    entry = ei.prime_entry(work.record({1, 3, 5}), g, work, DEFAULT_LIMITS, False, False)
+    assert calls == ["dependents", "family"] and entry.window == (0, 6)
+
+
+def test_a_report_leaves_dependents_that_run_out_to_the_windows(monkeypatch):
+    import vnum.edgeideals as ei
+    import vnum.matroids as mt
+    from vnum.errors import ResourceLimitError
+
+    calls = []
+
+    def first_runs_out(g, cuts, limits):
+        calls.append(len(calls))
+        if len(calls) == 1:
+            raise ResourceLimitError("time budget exceeded")
+        return mt.cut_dependents(g, cuts, limits)
+
+    monkeypatch.setattr(ei, "cut_dependents", first_runs_out)
+    rep = vnumber(cycle_graph(6), algebraic=False)
+    assert calls == [0, 1]  # the report's build, then the first 3-cut's window
+    assert [e.status for e in rep.per_prime] == ["ok"] * 12
 
 
 @settings(max_examples=30, deadline=None,

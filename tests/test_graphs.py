@@ -192,24 +192,26 @@ def test_gamma_c_against_bruteforce(small_connected_graphs):
 def test_connected_dominating_sets_come_by_size_then_lexicographically():
     c5 = cycle_graph(5)
     sets = list(connected_dominating_sets(c5, c5.vertices))
-    assert sets[:5] == [frozenset(b) for b in ([1, 2, 3], [1, 2, 5], [1, 4, 5], [2, 3, 4], [3, 4, 5])]
-    assert sets[-1] == c5.vertices and len(sets) == 11  # 5 triples, 5 quadruples, 1 whole
+    # the 5 quadruples and the whole cycle contain a triple, so only the triples come
+    assert sets == [frozenset(b) for b in ([1, 2, 3], [1, 2, 5], [1, 4, 5], [2, 3, 4], [3, 4, 5])]
     # a side dominates the graph on side plus cut, from inside the side
     h = induced_subgraph(c5, {1, 2, 3, 4})
     assert list(connected_dominating_sets(h, [2, 3])) == [frozenset({2, 3})]
 
 
 def test_connected_dominating_sets_match_the_one_set_test(small_connected_graphs):
-    # the search's masks and connectivity walk against is_connected_dominating,
-    # over the whole graph and over each side of each minimal 2-cut
+    # the search's masks, connectivity walk and minimality filter against
+    # is_connected_dominating, over the whole graph and over each side of
+    # each minimal 2-cut
     def reference(g, within):
         verts = sorted(within)
-        return [
+        sets = [
             frozenset(combo)
             for size in range(1, len(verts) + 1)
             for combo in itertools.combinations(verts, size)
             if is_connected_dominating(g, combo)
         ]
+        return [b for b in sets if not any(c < b for c in sets)]
 
     for g in small_connected_graphs:
         cases = [(g, g.vertices)]

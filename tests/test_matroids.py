@@ -14,11 +14,15 @@ from vnum.matroids import (
     delta_family,
     matroid_of_cut,
     min_transversal_weight,
-    minimal_transversals,
     small_dependent_diff,
 )
 from vnum.poly import edge_binomial, one_poly, poly_to_text
-from reference import concise_cut_generators, cut_generators_full, transversal_ideal_generic
+from reference import (
+    concise_cut_generators,
+    cut_generators_full,
+    minimal_transversals,
+    transversal_ideal_generic,
+)
 
 
 def fs(*items):

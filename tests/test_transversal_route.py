@@ -1,4 +1,11 @@
-"""The paper's transversal route to (J_G : P_S) against the colon fold.
+"""The paper's transversal route to (J_G : P_S) against the colon fold, and
+the runtime builder of L_S against its definition.
+
+The runtime builds L_S from connected dominating sets alone
+(packed_concise_generators); the definition's generators, one set per
+minimal transversal of the delta family, live in reference.py as
+packed_transversal_generators.  At the empty cut the two give one generator
+set; at a cut with two sides they give one sum with J_G.
 
 The module's helpers also run the full comparison over every connected
 non-complete graph on at most 7 vertices:
@@ -25,8 +32,9 @@ from vnum.errors import ResourceLimitError
 from vnum.graphs import Graph, path_graph
 from vnum.groebner import Limits, buchberger, pack_poly, packed_radical_sum, unpack_poly
 from vnum.idealops import colon_ideal
-from vnum.matroids import packed_concise_generators, packed_transversal_generators
+from vnum.matroids import cut_dependents, packed_concise_generators
 from vnum.poly import MonomialOrder, poly_from_text, poly_to_text
+from reference import packed_transversal_generators
 
 EXPIRED = Limits(deadline=0.0)
 
@@ -83,9 +91,10 @@ def builder_totals(g):
     built; and the cuts where the flag held and both bases were equal."""
     work = _work(g)
     order = work.jg.order
+    dependents = cut_dependents(g, work.cuts)
     builders = {
         "concise": lambda s: packed_concise_generators(g, s, order),
-        "generic": lambda s: packed_transversal_generators(g, s, work.dependents, order),
+        "generic": lambda s: packed_transversal_generators(g, s, dependents, order),
     }
     totals = {name: [0.0, 0] for name in builders}
     cuts = [rec.s for rec in work.cuts if rec.k == 2]
@@ -142,12 +151,25 @@ def test_cuts_with_three_sides_go_to_the_fold(monkeypatch):
 
 def test_generator_builds_run_under_the_clock():
     g = cycle_graph(6)
-    work = GraphWork.of(g)
-    order = MonomialOrder(g.n)
-    with pytest.raises(ResourceLimitError):
-        packed_transversal_generators(g, frozenset(), work.dependents, order, EXPIRED)
-    with pytest.raises(ResourceLimitError):
-        packed_concise_generators(g, {1, 4}, order, EXPIRED)
+    for s in (frozenset(), frozenset({1, 4})):
+        with pytest.raises(ResourceLimitError):
+            packed_concise_generators(g, s, MonomialOrder(g.n), EXPIRED)
+
+
+def _as_set(polys):
+    return {frozenset(p.items()) for p in polys}
+
+
+def test_empty_cut_builder_equals_the_definition():
+    # the minimal transversals of the empty cut's delta family are the
+    # minimal connected dominating sets (packed_concise_generators' proof)
+    graphs = atlas_graphs(7) + [cycle_graph(n) for n in range(5, 13)]
+    for g in graphs:
+        order = MonomialOrder(g.n)
+        built = packed_concise_generators(g, frozenset(), order)
+        want = packed_transversal_generators(g, frozenset(), None, order)
+        assert _as_set(built) == _as_set(want), sorted(g.edges)
+    assert len(graphs) == 989 + 8
 
 
 @pytest.mark.parametrize("s", [frozenset(), frozenset({1, 4})])
