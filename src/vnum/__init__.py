@@ -3,7 +3,9 @@
 __version__ = "0.1.0"
 
 from .errors import (
+    DEFAULT_LIMITS,
     GraphFormatError,
+    Limits,
     NoTransversalError,
     PreconditionError,
     ResourceLimitError,
@@ -34,9 +36,7 @@ from .poly import (
     y_poly,
 )
 from .groebner import (
-    DEFAULT_LIMITS,
     GroebnerBasis,
-    Limits,
     buchberger,
     is_groebner_basis,
     normal_form,

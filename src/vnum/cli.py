@@ -29,9 +29,8 @@ import os
 import sys
 
 from . import __version__
-from .errors import ConfigError, GraphFormatError, PreconditionError, ResourceLimitError
+from .errors import ConfigError, GraphFormatError, Limits, PreconditionError, ResourceLimitError
 from .graphs import is_connected, parse_graph
-from .groebner import Limits
 from .poly import poly_to_text
 from .edgeideals import GraphWork, admissible_path_basis, global_minimum, prime_entry, vnumber
 from .cycles import cycle_graph, global_bounds, verify_cycle

@@ -16,9 +16,9 @@ import itertools
 import time
 from dataclasses import dataclass
 
-from .errors import PreconditionError, ResourceLimitError
+from .errors import DEFAULT_LIMITS, PreconditionError, ResourceLimitError
 from .graphs import Graph
-from .groebner import DEFAULT_LIMITS, is_groebner_basis
+from .groebner import is_groebner_basis
 from .poly import MonomialOrder, edge_binomial, one_poly, sorted_generators, xy_monomial
 from .edgeideals import admissible_path_basis, vnumber
 

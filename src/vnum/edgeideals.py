@@ -20,7 +20,7 @@ import os
 import time
 from dataclasses import dataclass, field
 
-from .errors import PreconditionError, ResourceLimitError
+from .errors import DEFAULT_LIMITS, PreconditionError, ResourceLimitError
 from .graphs import (
     Graph,
     components_within,
@@ -29,7 +29,6 @@ from .graphs import (
     gamma_c_pair,
 )
 from .groebner import (
-    DEFAULT_LIMITS,
     GroebnerBasis,
     buchberger,
     is_groebner_basis,
@@ -104,19 +103,23 @@ def colon_generators(g, s):
 # ---------------------------------------------------------------------------
 
 def _all_path_interiors(g, i, j, limits):
-    """Vertex sets of interiors of all simple i-j paths."""
+    """Vertex sets of interiors of all simple i-j paths; the walk carries
+    each interior as a bit mask over the neighbour masks of g.adjacency."""
     interiors = set()
-    adj = {v: sorted(ns) for v, ns in g.adjacency.items()}
+    adj = g.adjacency
+    ends = 1 << i | 1 << j
 
     def walk(v, seen):
         limits.check_time()
-        for u in adj[v]:
-            if u == j:
-                interiors.add(frozenset(seen))
-            elif u not in seen and u != i:
-                walk(u, seen | {u})
+        if adj[v] >> j & 1:
+            interiors.add(frozenset(u for u in g.vertices if seen >> u & 1))
+        step = adj[v] & ~seen & ~ends
+        while step:
+            low = step & -step
+            walk(low.bit_length() - 1, seen | low)
+            step ^= low
 
-    walk(i, frozenset())
+    walk(i, 0)
     return interiors
 
 

@@ -3,9 +3,14 @@
 The domination searches are exhaustive at desk scale (n up to roughly 12);
 cut enumeration prunes its search by the rule below.  Induced subgraphs keep
 their original vertex labels, so a Graph carries an explicit vertex set
-alongside the ambient n.  Components of an induced subgraph are read off the
-parent's adjacency restricted to the vertex set, without building the
-subgraph.
+alongside the ambient n.
+
+Inside the module a vertex set is an int bit mask (bit v for vertex v) and
+Graph.adjacency gives one neighbour mask per vertex.  _mask_components is
+the one component search: components of an induced subgraph are read off
+the parent's masks restricted to the vertex set, without building the
+subgraph, and connectivity is one component.  Frozensets are built only
+for what the public functions return.
 
 A nonempty S is a minimal cut when G - S has c >= 2 components and every
 i in S is a cut point of G[(V - S) + i].  That is tested in one pass over
@@ -26,7 +31,7 @@ import itertools
 from dataclasses import dataclass
 from functools import cached_property
 
-from .errors import GraphFormatError, PreconditionError
+from .errors import DEFAULT_LIMITS, STEPS_PER_CLOCK_CHECK, GraphFormatError, PreconditionError
 
 
 @dataclass(frozen=True)
@@ -61,13 +66,14 @@ class Graph:
 
     @cached_property
     def adjacency(self):
-        """{vertex: frozenset of neighbours}, built once per graph object;
-        the dataclass's eq, hash and repr still see only the fields."""
-        adj = {v: set() for v in self.vertices}
+        """{vertex: bit mask of its neighbours}, the one neighbour table of
+        the module, built once per graph object; the dataclass's eq, hash
+        and repr still see only the fields."""
+        adj = dict.fromkeys(self.vertices, 0)
         for u, v in self.edges:
-            adj[u].add(v)
-            adj[v].add(u)
-        return {v: frozenset(ns) for v, ns in adj.items()}
+            adj[u] |= 1 << v
+            adj[v] |= 1 << u
+        return adj
 
     def is_complete(self):
         k = len(self.vertices)
@@ -91,29 +97,48 @@ def induced_subgraph(g, w):
     return Graph(g.n, edges, w)
 
 
+def _mask(vertices):
+    return sum(1 << v for v in vertices)
+
+
+def _as_sets(masks):
+    """Each bit mask as the frozenset of its vertices."""
+    return [frozenset(v for v in range(m.bit_length()) if m >> v & 1) for m in masks]
+
+
+def _mask_components(adj, rest):
+    """Components of the subgraph on the bit mask rest, as masks sorted by
+    least vertex: a flood fill over the neighbour masks adj."""
+    comps = []
+    while rest:
+        comp = frontier = rest & -rest
+        while frontier:
+            reach = 0
+            while frontier:
+                low = frontier & -frontier
+                reach |= adj[low.bit_length() - 1]
+                frontier ^= low
+            frontier = reach & rest & ~comp
+            comp |= frontier
+        comps.append(comp)
+        rest ^= comp
+    return comps
+
+
+def _splits(adj, s, rest, comps):
+    """The one-pass cut test of the module docstring: comps, the components
+    of the mask rest = V - s, are two or more, and each vertex of s has
+    neighbours in rest outside every single component."""
+    return len(comps) >= 2 and all(adj[u] & rest & ~c for u in s for c in comps)
+
+
 def components_within(g, w):
     """Components of the subgraph induced on w, sorted by least vertex; the
     subgraph itself is never built."""
     w = frozenset(w)
     if not w <= g.vertices:
         raise PreconditionError(f"{sorted(w - g.vertices)} not vertices of the graph")
-    adj = g.adjacency
-    seen = set()
-    comps = []
-    for start in sorted(w):
-        if start in seen:
-            continue
-        stack = [start]
-        seen.add(start)
-        comp = [start]
-        while stack:
-            for u in adj[stack.pop()]:
-                if u in w and u not in seen:
-                    seen.add(u)
-                    comp.append(u)
-                    stack.append(u)
-        comps.append(frozenset(comp))
-    return comps
+    return _as_sets(_mask_components(g.adjacency, _mask(w)))
 
 
 def connected_components(g):
@@ -122,7 +147,7 @@ def connected_components(g):
 
 
 def is_connected(g):
-    return len(connected_components(g)) <= 1
+    return len(_mask_components(g.adjacency, _mask(g.vertices))) <= 1
 
 
 def _require_connected(g):
@@ -130,26 +155,25 @@ def _require_connected(g):
         raise PreconditionError("graph must be connected")
 
 
-def _every_vertex_splits(g, s, comps):
-    """Each vertex of s has neighbours in at least two of comps, the
-    components of g - s (the one-pass cut test of the module docstring)."""
-    adj = g.adjacency
-    where = {v: idx for idx, comp in enumerate(comps) for v in comp}
-    return all(len({where[u] for u in adj[i] if u in where}) >= 2 for i in s)
-
-
-def is_minimal_kcut(g, s):
-    """(flag, k): s disconnects g into k >= 2 parts and every vertex of s is
-    a cut point of the graph induced on the complement plus that vertex."""
+def _cut_test(g, s):
+    """(passes the one-pass cut test, component masks of g - s) for a
+    nonempty proper vertex subset s of the connected g."""
     _require_connected(g)
     s = frozenset(s)
     if not s or s >= g.vertices:
         raise PreconditionError("cut must be a nonempty proper vertex subset")
     if not s <= g.vertices:
         raise PreconditionError("cut contains non-vertices")
-    comps = components_within(g, g.vertices - s)
-    k = len(comps)
-    return k >= 2 and _every_vertex_splits(g, s, comps), k
+    rest = _mask(g.vertices - s)
+    comps = _mask_components(g.adjacency, rest)
+    return _splits(g.adjacency, s, rest, comps), comps
+
+
+def is_minimal_kcut(g, s):
+    """(flag, k): s disconnects g into k >= 2 parts and every vertex of s is
+    a cut point of the graph induced on the complement plus that vertex."""
+    ok, comps = _cut_test(g, s)
+    return ok, len(comps)
 
 
 @dataclass(frozen=True)
@@ -167,14 +191,12 @@ def enumerate_min_cuts(g):
     A depth-first search over the vertices of degree at least two, in
     increasing order, so it meets the sets in lexicographic order; it never
     extends a set with a vertex that has fewer than two neighbours outside
-    it (the prune of the module docstring).  Vertex sets are int bit masks,
-    the components of g - S come from a flood fill over one neighbour mask
-    per vertex, and frozensets are built only for the cuts kept.
+    it (the prune of the module docstring), and frozensets are built only
+    for the cuts kept.
     """
     _require_connected(g)
-    adj = {v: sum(1 << u for u in ns) for v, ns in g.adjacency.items()}
-    everything = sum(1 << v for v in g.vertices)
-    candidates = [v for v in sorted(g.vertices) if len(g.adjacency[v]) >= 2]
+    adj = g.adjacency
+    candidates = [v for v in sorted(g.vertices) if adj[v].bit_count() >= 2]
     records = [CutRecord(frozenset(), 1, tuple(connected_components(g)))]
 
     def extend(members, outside, start):
@@ -185,32 +207,12 @@ def enumerate_min_cuts(g):
             if any((adj[u] & rest).bit_count() < 2 for u in grown):
                 continue
             comps = _mask_components(adj, rest)
-            # each u of the set has neighbours outside every single component
-            if len(comps) >= 2 and all(adj[u] & rest & ~c for u in grown for c in comps):
-                parts = tuple(frozenset(w for w in g.vertices if c >> w & 1) for c in comps)
-                records.append(CutRecord(frozenset(grown), len(comps), parts))
+            if _splits(adj, grown, rest, comps):
+                records.append(CutRecord(frozenset(grown), len(comps), tuple(_as_sets(comps))))
             extend(grown, rest, idx + 1)
 
-    extend([], everything, 0)
+    extend([], _mask(g.vertices), 0)
     return records
-
-
-def _mask_components(adj, rest):
-    """Components of the subgraph on the bit mask rest, by least vertex."""
-    comps = []
-    while rest:
-        comp = frontier = rest & -rest
-        while frontier:
-            reach = 0
-            while frontier:
-                low = frontier & -frontier
-                reach |= adj[low.bit_length() - 1]
-                frontier ^= low
-            frontier = reach & rest & ~comp
-            comp |= frontier
-        comps.append(comp)
-        rest ^= comp
-    return comps
 
 
 def is_connected_dominating(g, b):
@@ -220,22 +222,21 @@ def is_connected_dominating(g, b):
         raise PreconditionError("connected dominating sets are nonempty")
     if not b <= g.vertices:
         raise PreconditionError("set contains non-vertices")
-    if len(components_within(g, b)) > 1:
-        return False
     adj = g.adjacency
-    return all(adj[v] & b for v in g.vertices - b)
+    inside = _mask(b)
+    return len(_mask_components(adj, inside)) == 1 and all(adj[v] & inside for v in g.vertices - b)
 
 
-def connected_dominating_sets(g, within, limits=None):
+def connected_dominating_sets(g, within, limits=DEFAULT_LIMITS):
     """Every inclusion-minimal subset of within that connect-dominates g, by
     size and then lexicographically; within must be a set of vertices of g.
-    Given limits, the search checks their deadline after every 256 subsets
-    of one size.
+    The search checks the deadline of limits after every
+    STEPS_PER_CLOCK_CHECK subsets of one size.
 
     The same test as is_connected_dominating, cheapest part first: a subset
     dominates when the bit masks of its closed neighbourhoods cover every
     vertex, and only then is it tested against the sets already yielded and
-    its induced subgraph searched for connectivity.  Sets come by size, so a
+    its bit mask searched for components.  Sets come by size, so a
     set that is not minimal contains a minimal one yielded before it, and a
     set that contains none of those is minimal.  A first hit is a set of
     least size, hence minimal, so a search that stops there does no work
@@ -245,39 +246,31 @@ def connected_dominating_sets(g, within, limits=None):
     short are skipped.
     """
     adj = g.adjacency
-    closed = {v: sum(1 << u for u in adj[v]) | 1 << v for v in g.vertices}
-    everything = sum(1 << v for v in g.vertices)
+    closed = {v: adj[v] | 1 << v for v in g.vertices}
+    everything = _mask(g.vertices)
     verts = sorted(within)
-    degrees = sorted((len(adj[v]) for v in verts), reverse=True)
+    degrees = sorted((adj[v].bit_count() for v in verts), reverse=True)
     kept = []
     for size in range(1, len(verts) + 1):
         if sum(degrees[:size]) - size + 2 < len(g.vertices):
             continue
         for count, combo in enumerate(itertools.combinations(verts, size), 1):
-            if limits is not None and not count % 256:
+            if not count % STEPS_PER_CLOCK_CHECK:
                 limits.check_time()
             covered = 0
             for v in combo:
                 covered |= closed[v]
             if covered != everything:
                 continue
-            mask = sum(1 << v for v in combo)
+            mask = _mask(combo)
             if any(k & mask == k for k in kept):
                 continue
-            inside = frozenset(combo)
-            seen = {combo[0]}
-            stack = [combo[0]]
-            while stack:
-                for u in adj[stack.pop()] & inside:
-                    if u not in seen:
-                        seen.add(u)
-                        stack.append(u)
-            if len(seen) == size:
+            if len(_mask_components(adj, mask)) == 1:
                 kept.append(mask)
-                yield inside
+                yield frozenset(combo)
 
 
-def gamma_c(g, limits=None):
+def gamma_c(g, limits=DEFAULT_LIMITS):
     """Connected domination number with its lexicographically least witness,
     the first set connected_dominating_sets yields.
 
@@ -293,13 +286,13 @@ def gamma_c(g, limits=None):
 def two_cut_sides(g, s):
     """The two components of g - s, sorted by least vertex; s must be a
     minimal 2-cut."""
-    ok, k = is_minimal_kcut(g, s)
-    if not ok or k != 2:
+    ok, comps = _cut_test(g, s)
+    if not ok or len(comps) != 2:
         raise PreconditionError(f"{sorted(s)} is not a minimal 2-cut")
-    return components_within(g, g.vertices - frozenset(s))
+    return _as_sets(comps)
 
 
-def gamma_c_pair(g, s, limits=None):
+def gamma_c_pair(g, s, limits=DEFAULT_LIMITS):
     """Least size of A inside V1 u V2 whose trace on each side
     connect-dominates that side plus the cut, with the union of each side's
     lexicographically least witness; s must be a minimal 2-cut.  The whole

@@ -42,13 +42,17 @@ engine never returns a partial basis.
 from __future__ import annotations
 
 import heapq
-import time
 from bisect import bisect_right
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
-from .errors import PreconditionError, ResourceLimitError
+from .errors import (
+    DEFAULT_LIMITS,
+    STEPS_PER_CLOCK_CHECK,
+    PreconditionError,
+    ResourceLimitError,
+)
 from .poly import (
     EXPONENT_CAP,
     MonomialOrder,
@@ -57,34 +61,6 @@ from .poly import (
     packed_is_squarefree,
     packed_lcm,
 )
-
-# Division steps between two checks of the time budget.
-STEPS_PER_CLOCK_CHECK = 256
-
-
-@dataclass(frozen=True)
-class Limits:
-    """Resource caps for a single computation (one prime, one verification)."""
-
-    max_polys: int = 20000
-    max_degree: int = 40
-    time_budget_secs: float = 300.0
-    deadline: float | None = None
-
-    def start_clock(self):
-        """Limits whose wall-clock deadline runs: self when its clock already
-        runs, else a copy whose deadline starts now.  So the first caller
-        starts a computation's one budget and every nested caller shares it."""
-        if self.deadline is not None:
-            return self
-        return replace(self, deadline=time.monotonic() + self.time_budget_secs)
-
-    def check_time(self):
-        if self.deadline is not None and time.monotonic() > self.deadline:
-            raise ResourceLimitError("time budget exceeded")
-
-
-DEFAULT_LIMITS = Limits()
 
 
 @dataclass(frozen=True)

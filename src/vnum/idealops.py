@@ -13,9 +13,8 @@ least-degree remainders, the witness candidates.
 
 from __future__ import annotations
 
-from .errors import PreconditionError, VnumError
+from .errors import DEFAULT_LIMITS, PreconditionError, VnumError
 from .groebner import (
-    DEFAULT_LIMITS,
     GroebnerBasis,
     _sort_key,
     buchberger,

@@ -19,7 +19,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .errors import NoTransversalError, PreconditionError
+from .errors import DEFAULT_LIMITS, STEPS_PER_CLOCK_CHECK, NoTransversalError, PreconditionError
 from .graphs import (
     components_within,
     connected_dominating_sets,
@@ -28,7 +28,7 @@ from .graphs import (
     is_minimal_kcut,
     two_cut_sides,
 )
-from .groebner import DEFAULT_LIMITS, STEPS_PER_CLOCK_CHECK, pack_poly
+from .groebner import pack_poly
 from .poly import (
     edge_binomial,
     monomial,
@@ -125,10 +125,6 @@ def _element_key(e):
     return (len(e), tuple(sorted(e)))
 
 
-def _set_key(elements):
-    return tuple(sorted(_element_key(e) for e in elements))
-
-
 def _split(elements):
     singles = frozenset(next(iter(e)) for e in elements if len(e) == 1)
     pairs = frozenset(e for e in elements if len(e) == 2)
@@ -138,16 +134,24 @@ def _split(elements):
 def cut_dependents(g, cuts, limits=DEFAULT_LIMITS):
     """{S: D(M(S))} for the cut records of one enumeration of g, in their
     order: the singletons and pairs dependent in the matroid of each cut,
-    listed straight from its loops and parallel classes.  Checks the
-    deadline of limits every STEPS_PER_CLOCK_CHECK cuts."""
+    listed straight from its loops and parallel classes.  Each pair is one
+    frozenset shared by every cut, and each vertex carries the set of its
+    singleton and every pair through it, so a cut's dependents are a union
+    of those.  Checks the deadline of limits every STEPS_PER_CLOCK_CHECK
+    cuts."""
+    verts = sorted(g.vertices)
+    pair = {(i, j): frozenset({i, j}) for i, j in itertools.combinations(verts, 2)}
+    through = {
+        i: frozenset([frozenset({i})] + [pair[min(i, j), max(i, j)] for j in verts if j != i])
+        for i in verts
+    }
     out = {}
     for step, rec in enumerate(cuts, 1):
         if not step % STEPS_PER_CLOCK_CHECK:
             limits.check_time()
-        deps = {frozenset({i}) for i in rec.s}
-        deps.update(frozenset({i, j}) for i in rec.s for j in g.vertices if j != i)
+        deps = set().union(*(through[i] for i in rec.s))
         for comp in rec.components:
-            deps.update(frozenset(e) for e in itertools.combinations(comp, 2))
+            deps.update(pair[e] for e in itertools.combinations(sorted(comp), 2))
         out[rec.s] = frozenset(deps)
     return out
 

@@ -8,11 +8,9 @@ from __future__ import annotations
 
 import itertools
 
-from vnum.errors import NoTransversalError
+from vnum.errors import DEFAULT_LIMITS, STEPS_PER_CLOCK_CHECK, NoTransversalError
 from vnum.graphs import induced_subgraph, is_connected_dominating, two_cut_sides
 from vnum.groebner import (
-    DEFAULT_LIMITS,
-    STEPS_PER_CLOCK_CHECK,
     GroebnerBasis,
     _buchberger,
     _t_extension,

@@ -206,7 +206,7 @@ def test_window_search_set_up_checks_the_clock(monkeypatch):
     STEPS_PER_CLOCK_CHECK steps, before the branch and bound's first check."""
     from vnum.edgeideals import GraphWork
     from vnum.graphs import Graph
-    from vnum.groebner import DEFAULT_LIMITS, STEPS_PER_CLOCK_CHECK, Limits
+    from vnum.errors import DEFAULT_LIMITS, STEPS_PER_CLOCK_CHECK, Limits
     from vnum.matroids import cut_dependents, delta_family, min_transversal_weight
 
     class Stop(Exception):

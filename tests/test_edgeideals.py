@@ -8,7 +8,7 @@ from hypothesis import HealthCheck, given, settings
 
 from conftest import connected_graphs
 
-from vnum.errors import PreconditionError
+from vnum.errors import DEFAULT_LIMITS, PreconditionError
 from vnum.graphs import (
     Graph,
     complete_graph,
@@ -17,7 +17,7 @@ from vnum.graphs import (
     gamma_c_pair,
     path_graph,
 )
-from vnum.groebner import DEFAULT_LIMITS, buchberger, is_groebner_basis
+from vnum.groebner import buchberger, is_groebner_basis
 from vnum.idealops import as_basis, colon_ideal, colon_poly, intersect
 from vnum.edgeideals import (
     GraphWork,
@@ -342,7 +342,7 @@ def test_saturation_by_bridging_binomial_initial_ideal():
 
 def test_path_basis_check_rejects_a_basis_that_is_not_tail_reduced():
     from vnum.edgeideals import _assert_reduced_groebner
-    from vnum.groebner import DEFAULT_LIMITS, GroebnerBasis, pack_poly
+    from vnum.groebner import GroebnerBasis, pack_poly
 
     n = 2
     order = MonomialOrder(n)

@@ -1,6 +1,8 @@
 """Graph layer: cuts, components, domination; brute-force cross-checks."""
 
+import ast
 import itertools
+import pathlib
 import random
 
 import networkx as nx
@@ -10,6 +12,7 @@ from hypothesis import given, settings, strategies as st
 from conftest import connected_graphs
 from test_transversal_route import atlas_graphs
 
+import vnum.graphs
 from vnum.errors import GraphFormatError, PreconditionError
 from vnum.graphs import (
     CutRecord,
@@ -228,6 +231,47 @@ def test_two_cut_sides():
         two_cut_sides(cycle_graph(6), {1, 3, 5})
 
 
+def nx_components(g, w):
+    """Components of g[w] from networkx, sorted by least vertex."""
+    return sorted((frozenset(c) for c in nx.connected_components(to_nx(g).subgraph(w))), key=min)
+
+
+def proper_induced_subgraphs(graphs):
+    """Every induced subgraph on a nonempty strict subset of the vertices: labels
+    above the subgraph's size, and isolated vertices in the disconnected ones."""
+    for g in graphs:
+        verts = sorted(g.vertices)
+        for size in range(1, len(verts)):
+            for w in itertools.combinations(verts, size):
+                yield induced_subgraph(g, w)
+
+
+def test_is_connected_dominating_matches_networkx(small_connected_graphs):
+    for h in proper_induced_subgraphs(small_connected_graphs):
+        ref = to_nx(h)
+        verts = sorted(h.vertices)
+        for size in range(1, len(verts) + 1):
+            for combo in itertools.combinations(verts, size):
+                want = nx.is_connected(ref.subgraph(combo)) and nx.is_dominating_set(ref, combo)
+                assert is_connected_dominating(h, combo) == want, (sorted(h.edges), combo)
+
+
+def test_two_cut_sides_matches_networkx(small_connected_graphs):
+    for h in proper_induced_subgraphs(small_connected_graphs):
+        if not nx.is_connected(to_nx(h)):
+            continue
+        verts = sorted(h.vertices)
+        for size in range(1, len(verts)):
+            for combo in itertools.combinations(verts, size):
+                s = frozenset(combo)
+                if cut_point_definition(h, s) == (True, 2):
+                    want = nx_components(h, h.vertices - s)
+                    assert two_cut_sides(h, s) == want, (sorted(h.edges), combo)
+                else:
+                    with pytest.raises(PreconditionError):
+                        two_cut_sides(h, s)
+
+
 def test_gamma_c_pair_examples():
     assert gamma_c_pair(cycle_graph(4), {1, 3}) == (2, frozenset({2, 4}))
     assert gamma_c_pair(cycle_graph(6), {1, 4}) == (4, frozenset({2, 3, 5, 6}))
@@ -318,8 +362,7 @@ def test_components_within_matches_induced_subgraph(small_connected_graphs):
         verts = sorted(g.vertices)
         for size in range(len(verts) + 1):
             for combo in itertools.combinations(verts, size):
-                want = connected_components(induced_subgraph(g, combo))
-                assert components_within(g, combo) == want
+                assert components_within(g, combo) == nx_components(g, combo)
     with pytest.raises(PreconditionError):
         components_within(cycle_graph(4), {5})
 
@@ -363,3 +406,17 @@ def test_cycle_cut_counts():
     # the empty cut plus the independent sets of size >= 2 of C_n
     counts = {n: len(enumerate_min_cuts(cycle_graph(n))) for n in (10, 11, 13, 14)}
     assert counts == {10: 113, 11: 188, 13: 508, 14: 829}
+
+
+def test_graph_layer_imports_only_errors():
+    """The graph layer sits below the engine: of vnum it imports errors alone."""
+    modules = set()
+    for node in ast.walk(ast.parse(pathlib.Path(vnum.graphs.__file__).read_text())):
+        if isinstance(node, ast.ImportFrom) and node.level:
+            names = [node.module] if node.module else [a.name for a in node.names]
+            modules.update(f"vnum.{m}" for m in names)
+        elif isinstance(node, ast.ImportFrom):
+            modules.add(node.module)
+        elif isinstance(node, ast.Import):
+            modules.update(a.name for a in node.names)
+    assert {m for m in modules if m.split(".")[0] == "vnum"} == {"vnum.errors"}

@@ -7,10 +7,9 @@ import pytest
 import sympy
 from hypothesis import given, settings, strategies as st
 
-from vnum.errors import PreconditionError, ResourceLimitError
+from vnum.errors import Limits, PreconditionError, ResourceLimitError
 from vnum.graphs import complete_graph, path_graph
 from vnum.groebner import (
-    Limits,
     ReducerTable,
     _exact_quotient,
     _row,

@@ -28,9 +28,9 @@ import vnum.edgeideals as ei
 from test_golden import DATA, _cycle6
 from vnum.cycles import cycle_graph
 from vnum.edgeideals import GraphWork, edge_ideal_gens, prime_component, prime_entry
-from vnum.errors import ResourceLimitError
+from vnum.errors import Limits, ResourceLimitError
 from vnum.graphs import Graph, path_graph
-from vnum.groebner import Limits, buchberger, pack_poly, packed_radical_sum, unpack_poly
+from vnum.groebner import buchberger, pack_poly, packed_radical_sum, unpack_poly
 from vnum.idealops import colon_ideal
 from vnum.matroids import cut_dependents, packed_concise_generators
 from vnum.poly import MonomialOrder, poly_from_text, poly_to_text
