@@ -301,9 +301,7 @@ def _combined_basis_check(n, s, sigma, limits):
 def verify_cycle(n, limits=DEFAULT_LIMITS, with_oracle=False, jobs=1):
     """Full cycle run: per-prime v-numbers (on up to jobs worker processes),
     window checks, and the combined Groebner-basis verification wherever a
-    consistent relabeling exists."""
-    if n < 3:
-        raise PreconditionError("a cycle needs at least three vertices")
+    consistent relabeling exists; cycle_graph rejects n < 3."""
     g = cycle_graph(n)
     rep = vnumber(g, limits, with_oracle=with_oracle, jobs=jobs)
     checks = []

@@ -6,10 +6,10 @@ edge ideal of a connected graph the minimal primes are indexed by the
 empty set and the minimal k-cuts, and the localized value at P_S is the
 least degree in (J_G : P_S) outside J_G.  The pipeline computes that colon
 with the Groebner engine, validates the witness by the certificate
-(J_G : w) = P_S, which three ideal memberships decide as P_S is prime, and
-cross-checks against combinatorial formulas (connected domination for the
-empty cut, two-sided domination for minimal 2-cuts) and an independent
-intersection-based oracle.
+(J_G : w) = P_S, which two ideal memberships decide as P_S is prime and
+contains J_G, and cross-checks against combinatorial formulas (connected
+domination for the empty cut, two-sided domination for minimal 2-cuts) and
+an independent intersection-based oracle.
 """
 
 from __future__ import annotations
@@ -30,13 +30,12 @@ from .graphs import (
 )
 from .groebner import (
     GroebnerBasis,
+    _buchberger,
     buchberger,
-    is_groebner_basis,
     pack_poly,
     packed_intersection,
     packed_product,
     packed_radical_sum,
-    reduce_basis,
 )
 from .idealops import colon_ideal, min_new_degree
 from .matroids import (
@@ -130,7 +129,7 @@ def admissible_path_basis(g, sigma=None, limits=DEFAULT_LIMITS):
     interior vertices all sort below i or above j and no proper subset of
     the interior supports an i-j path; it contributes u_pi * f_{i,j} with
     u_pi collecting x over the high interior vertices and y over the low
-    ones.  The construction is verified against the Buchberger criterion
+    ones.  The construction is checked to be the reduced basis of its ideal
     before being returned; failure is a bug, not an input error.  The path
     search and that check run under the deadline of limits.
     """
@@ -155,14 +154,12 @@ def admissible_path_basis(g, sigma=None, limits=DEFAULT_LIMITS):
 
 
 def _assert_reduced_groebner(gb, limits):
-    """A reduced Groebner basis, ascending by leading monomial, is exactly
-    what reduce_basis makes of it."""
-    gens = list(gb.generators)
-    assert is_groebner_basis(gens, gb.order, limits=limits), (
-        "admissible-path set fails the Buchberger criterion"
-    )
-    assert reduce_basis(gens, gb.order, limits) == gens, (
-        "path basis must be minimal, monic and tail-reduced"
+    """gb is the reduced basis of its ideal, ascending by leading monomial,
+    exactly when the engine returns it unchanged: the engine returns the
+    reduced basis of the ideal its input generates, and that basis is
+    unique for the ideal and the order."""
+    assert _buchberger(gb.packed, gb.order, limits) == gb.packed, (
+        "path basis must be a Groebner basis, minimal, monic and tail-reduced"
     )
 
 
@@ -172,30 +169,30 @@ def _assert_reduced_groebner(gb, limits):
 
 def check_colon_equals_prime(g, f, s, limits=DEFAULT_LIMITS, _work=None):
     """Direct certificate for the v-number definition: (J_G : f) = P_S,
-    decided by three memberships, each a normal form modulo a reduced basis:
+    decided by two memberships, each a normal form modulo a reduced basis:
 
-        (a) every edge binomial lies in P_S;
-        (b) f does not lie in P_S;
-        (c) f p lies in J_G for every generator p of P_S.
+        (a) f does not lie in P_S;
+        (b) f p lies in J_G for every generator p of P_S.
 
-    The test is sound because P_S is prime: (a) and (b) give
-    (J_G : f) in (P_S : f) = P_S, and (c) gives P_S in (J_G : f).  It is
-    complete because J_G is radical (Herzog, Hibi, Hreinsdottir, Kahle and
-    Rauh, 2010): if (J_G : f) = P_S, then J_G lies in P_S, which is (a),
-    and P_S f lies in J_G, which is (c); and f in P_S would put f^2 in J_G,
-    so f in J_G and (J_G : f) = (1), which is not P_S.  f is packed once,
-    and each product f p is formed packed.  Runs under the deadline of
-    limits.  _work is the report's GraphWork, whose basis of J_G is read;
-    without it the basis is built here.
+    J_G lies in P_S for every vertex set S (Herzog, Hibi, Hreinsdottir,
+    Kahle and Rauh, 2010): an edge with no end in S lies inside one
+    component of the graph minus S, so its binomial is one of the 2-minors
+    of P_S, and an edge with an end i in S has its binomial in (x_i, y_i).
+    The test is sound because P_S is prime: J_G in P_S and (a) give
+    (J_G : f) in (P_S : f) = P_S, and (b) gives P_S in (J_G : f).  It is
+    complete because J_G is radical (same paper): if (J_G : f) = P_S, then
+    P_S f lies in J_G, which is (b); and f in P_S would put f^2 in J_G, so
+    f in J_G and (J_G : f) = (1), which is not P_S.  f is packed once, and
+    each product f p is formed packed.  Runs under the deadline of limits.
+    _work is the report's GraphWork, whose basis of J_G is read; without it
+    the basis is built here.
     """
     if f.is_zero or not f.is_homogeneous():
         raise PreconditionError("witness must be homogeneous and nonzero")
     target = prime_component(g, s)
-    order, in_target = target.order, target.reducers
-    if any(in_target.remainder(pack_poly(e, order), limits) for e in edge_ideal_gens(g)):
-        return False
+    order = target.order
     pf = pack_poly(f, order)
-    if not in_target.remainder(pf, limits):
+    if not target.reducers.remainder(pf, limits):
         return False
     jg = None if _work is None else _work.jg
     if jg is None:
@@ -207,15 +204,15 @@ def check_colon_equals_prime(g, f, s, limits=DEFAULT_LIMITS, _work=None):
 
 @dataclass
 class GraphWork:
-    """What the primes of one graph share within one report: its one cut
-    enumeration; the cut_dependents of it, which only the windows of the
-    cuts with three or more sides read, built by vnumber before its primes
-    run or else, like the basis of J_G, under the clock of the first prime
-    that needs it (a prime that hits a limit leaves it for the next); the
-    basis carries the colons (J_G : f) that colon_ideal memoises; and the
-    oracle's running intersections of the primes, before[m] that of the
-    first m + 1 cuts and after[m] that of the last m + 1, each grown when
-    first needed.
+    """What the primes of one graph share within one report, or within one
+    pool worker's share of it (see vnumber): its one cut enumeration; the
+    cut_dependents of it, which only the windows of the cuts with three or
+    more sides read, built by vnumber before its primes run or else, like
+    the basis of J_G, under the clock of the first prime that needs it (a
+    prime that hits a limit leaves it for the next); the basis carries the
+    colons (J_G : f) that colon_ideal memoises; and the oracle's running
+    intersections of the primes, before[m] that of the first m + 1 cuts and
+    after[m] that of the last m + 1, each grown when first needed.
 
     The memoised f are the linear forms h = sum of x_i over S and the
     2-minors that vnumber_at_prime folds over (colon_generators).  As J_G
@@ -329,7 +326,7 @@ def vnumber_at_prime(g, s, limits=DEFAULT_LIMITS, _work=None):
     the same either way.  Any such f has (J_G : f) = P_S, because J_G is
     radical: f P_S lies in J_G, so every minimal prime that misses f
     contains P_S and, being minimal, is P_S.  The certificate
-    (J_G : f) = P_S is still checked, by three memberships against P_S and
+    (J_G : f) = P_S is still checked, by two memberships against P_S and
     the report's basis of J_G (see check_colon_equals_prime), and its
     failure is an AssertionError; at the primes the route serves, the
     domination formulas also check the value independently.  For the
@@ -443,7 +440,8 @@ def global_minimum(entries):
 
 def prime_entry(rec, g, work, limits, with_oracle, algebraic):
     """The report entry for the prime of one cut record; the only place a
-    per-prime entry is built, for serial runs, pool workers and --prime.
+    per-prime entry is built, for serial runs, pool workers (through
+    prime_entries) and --prime.
 
     work is the report's GraphWork, which rec comes from.  Runs the
     algebraic pipeline unless algebraic=False, which reports pure
@@ -486,6 +484,12 @@ def prime_entry(rec, g, work, limits, with_oracle, algebraic):
     )
 
 
+def prime_entries(recs, g, work, limits, with_oracle, algebraic):
+    """The entries of the primes of recs, in order, on the one GraphWork
+    work: a serial run passes every cut, a pool worker its share."""
+    return [prime_entry(rec, g, work, limits, with_oracle, algebraic) for rec in recs]
+
+
 def ProcessPoolExecutor(max_workers):
     """concurrent.futures' process pool, imported only when a pool starts, so
     a serial run never loads concurrent.futures or multiprocessing."""
@@ -502,10 +506,12 @@ def vnumber(g, limits=DEFAULT_LIMITS, with_oracle=False, algebraic=True, jobs=1)
     the cut_dependents, so they are built here once for the report, under a
     clock of their own, before any prime's clock starts; if that clock runs
     out, each window tries again under its prime's clock.  The primes run on
-    a process pool of at most one worker per prime and per cpu, each task
-    building its own J_G basis, when that is wider than one worker;
-    otherwise they run here and share one basis.  Entries stay in prime
-    order either way.
+    a process pool of at most one worker per prime and per cpu when that is
+    wider than one worker, otherwise here.  Worker i of width takes the
+    share cuts[i::width], every width-th prime, as one task, and runs it as
+    a serial run does, on one GraphWork: its basis of J_G, the colons memoised
+    on it and the oracle's running intersections serve all of its primes.
+    Entries stay in prime order either way.
     """
     work = GraphWork.of(g)
     if any(rec.k > 2 for rec in work.cuts):
@@ -513,14 +519,17 @@ def vnumber(g, limits=DEFAULT_LIMITS, with_oracle=False, algebraic=True, jobs=1)
             work.dependents = cut_dependents(g, work.cuts, limits.start_clock())
         except ResourceLimitError:
             pass
-    entry = functools.partial(
-        prime_entry, g=g, work=work, limits=limits,
+    run = functools.partial(
+        prime_entries, g=g, work=work, limits=limits,
         with_oracle=with_oracle, algebraic=algebraic,
     )
     width = min(jobs, len(work.cuts), os.cpu_count() or 1)
     if width <= 1:
-        entries = list(map(entry, work.cuts))
+        entries = run(work.cuts)
     else:
+        entries = [None] * len(work.cuts)
         with ProcessPoolExecutor(max_workers=width) as pool:
-            entries = list(pool.map(entry, work.cuts))
+            shares = pool.map(run, [work.cuts[i::width] for i in range(width)])
+            for i, share in enumerate(shares):
+                entries[i::width] = share
     return VNumberReport(g, entries, *global_minimum(entries))

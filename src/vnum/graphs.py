@@ -312,7 +312,7 @@ def gamma_c_pair(g, s, limits=DEFAULT_LIMITS):
 
 def parse_graph(text):
     """First non-comment line `n <count>`, then one `u v` line per edge with
-    u < v; `#` starts a comment; duplicates are an error."""
+    u < v; `#` starts a comment; Graph.make rejects a duplicate edge."""
     n = None
     edges = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -341,8 +341,6 @@ def parse_graph(text):
         edges.append((u, v))
     if n is None:
         raise GraphFormatError("missing 'n <count>' line")
-    if len(set(edges)) != len(edges):
-        raise GraphFormatError("duplicate edge")
     return Graph.make(n, edges)
 
 

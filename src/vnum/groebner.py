@@ -397,12 +397,6 @@ def _reduce(polys, order, limits):
     return out
 
 
-def reduce_basis(polys, order, limits=DEFAULT_LIMITS):
-    """Turn a Groebner basis into the reduced one: minimal, monic, tail-reduced."""
-    packed = [pack_poly(p, order) for p in polys if not p.is_zero]
-    return [unpack_poly(p, order) for p in _reduce(packed, order, limits)]
-
-
 def is_groebner_basis(polys, order, skip_coprime=True, limits=DEFAULT_LIMITS):
     """Buchberger criterion: every S-pair reduces to zero modulo the set.
 
@@ -429,13 +423,9 @@ def packed_radical_sum(gb, qs, limits):
     """The reduced basis of I + (qs), for the reduced basis gb of I and
     packed qs, when all its leading monomials are squarefree, which makes
     the sum radical; None when one is not.  Each q enters reduced modulo
-    gb, and the zeros and repeats are dropped."""
-    extra = {}
-    for q in qs:
-        r = gb.reducers.remainder(q, limits)
-        if r:
-            extra[frozenset(r.items())] = r
-    basis = _buchberger(gb.packed + list(extra.values()), gb.order, limits)
+    gb, and the zeros are dropped; _buchberger drops the repeats."""
+    extra = [r for r in (gb.reducers.remainder(q, limits) for q in qs) if r]
+    basis = _buchberger(gb.packed + extra, gb.order, limits)
     if all(packed_is_squarefree(max(p), gb.order.guard) for p in basis):
         return basis
     return None

@@ -5,8 +5,9 @@ auxiliary variable t, compute a Groebner basis under the elimination order
 with t greatest, and read off the t-free part.  The engine does that on
 packed polynomials (see groebner).  An ideal comes in as a GroebnerBasis,
 whose packed generators are used as they are, or as a list of
-Polynomials, packed on entry; intersect, colon_poly and colon_ideal return
-the reduced GroebnerBasis the engine computed, still packed.  Only
+Polynomials, packed on entry; intersect and colon_ideal return the reduced
+GroebnerBasis the engine computed, still packed, and colon_poly is
+colon_ideal by the one generator f.  Only
 min_new_degree_candidates converts a result to Polynomials, and only its
 least-degree remainders, the witness candidates.
 """
@@ -55,15 +56,10 @@ def intersect(gens_i, gens_j, order, limits=DEFAULT_LIMITS):
 
 
 def colon_poly(gens, f, order, limits=DEFAULT_LIMITS):
-    """The reduced GroebnerBasis of (I : f) = (I cap (f)) / f."""
-    if f.is_zero:
-        raise PreconditionError("colon by the zero polynomial")
-    gi = _packed(gens, order)
-    if not gi:
-        return GroebnerBasis([], order)
-    if f.is_constant():
-        return as_basis(gens, order, limits)
-    return GroebnerBasis(packed_colon(gi, pack_poly(f, order), order, limits), order)
+    """The reduced GroebnerBasis of (I : f), the fold of colon_ideal over
+    the one generator f: (I cap (f)) / f, I for a nonzero constant f, (1)
+    for f in I, and a PreconditionError for the zero polynomial."""
+    return colon_ideal(gens, [f], order, limits)
 
 
 def _degree(p, order):

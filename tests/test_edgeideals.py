@@ -1,6 +1,7 @@
 """Edge ideals, prime components, path bases, and the v-number pipeline."""
 
 import dataclasses
+import itertools
 import os
 
 import pytest
@@ -17,7 +18,7 @@ from vnum.graphs import (
     gamma_c_pair,
     path_graph,
 )
-from vnum.groebner import buchberger, is_groebner_basis
+from vnum.groebner import buchberger, is_groebner_basis, pack_poly
 from vnum.idealops import as_basis, colon_ideal, colon_poly, intersect
 from vnum.edgeideals import (
     GraphWork,
@@ -149,6 +150,28 @@ def test_certificate_equals_the_colon_it_replaces(small_connected_graphs):
                 checked += 1
                 accepted += want
     assert (checked, accepted) == (618, 130)
+
+
+def test_every_prime_component_contains_the_edge_ideal():
+    """The lemma that lets check_colon_equals_prime skip the membership of
+    J_G in P_S: every edge binomial reduces to 0 modulo P_S, for every
+    vertex subset S of every connected atlas graph on 2 to 6 vertices."""
+    import networkx as nx
+
+    checked = 0
+    for h in nx.graph_atlas_g():
+        n = h.number_of_nodes()
+        if not 2 <= n <= 6 or not nx.is_connected(h):
+            continue
+        g = Graph.make(n, [(u + 1, v + 1) for u, v in h.edges()])
+        order = MonomialOrder(n)
+        edges = [pack_poly(e, order) for e in edge_ideal_gens(g)]
+        for r in range(n + 1):
+            for s in itertools.combinations(range(1, n + 1), r):
+                table = prime_component(g, s).reducers
+                assert not any(table.remainder(e, DEFAULT_LIMITS) for e in edges), (h.edges(), s)
+                checked += 1
+    assert checked == 7956
 
 
 def test_oracle_examples():
@@ -342,7 +365,7 @@ def test_saturation_by_bridging_binomial_initial_ideal():
 
 def test_path_basis_check_rejects_a_basis_that_is_not_tail_reduced():
     from vnum.edgeideals import _assert_reduced_groebner
-    from vnum.groebner import GroebnerBasis, pack_poly
+    from vnum.groebner import GroebnerBasis
 
     n = 2
     order = MonomialOrder(n)
@@ -353,6 +376,18 @@ def test_path_basis_check_rejects_a_basis_that_is_not_tail_reduced():
     assert is_groebner_basis(list(untidy.generators), order)
     with pytest.raises(AssertionError, match="tail-reduced"):
         _assert_reduced_groebner(untidy, DEFAULT_LIMITS)
+
+
+def test_path_basis_check_rejects_a_set_that_is_not_a_groebner_basis():
+    from vnum.edgeideals import _assert_reduced_groebner
+    from vnum.groebner import GroebnerBasis
+
+    star = Graph.make(4, [(1, 2), (1, 3), (1, 4)])
+    order = MonomialOrder(4)
+    edges = sorted((pack_poly(e, order) for e in edge_ideal_gens(star)), key=max)
+    assert not is_groebner_basis(edge_ideal_gens(star), order)
+    with pytest.raises(AssertionError, match="Groebner basis"):
+        _assert_reduced_groebner(GroebnerBasis(edges, order), DEFAULT_LIMITS)
 
 
 def test_every_division_of_a_prime_runs_under_its_deadline(monkeypatch):
@@ -627,6 +662,38 @@ def test_a_report_leaves_dependents_that_run_out_to_the_windows(monkeypatch):
     rep = vnumber(cycle_graph(6), algebraic=False)
     assert calls == [0, 1]  # the report's build, then the first 3-cut's window
     assert [e.status for e in rep.per_prime] == ["ok"] * 12
+
+
+def test_each_pool_worker_runs_its_share_on_one_set_up(monkeypatch, serial_pool):
+    """A pooled run sends one task per worker, each a strided share of the
+    primes run on one GraphWork, so J_G is built once per worker."""
+    import vnum.edgeideals as ei
+
+    tasks, builds = [], []
+
+    class CountingPool(ei.ProcessPoolExecutor):
+        def map(self, fn, items):
+            items = list(items)
+            tasks.extend(items)
+            return super().map(fn, items)
+
+    def counting(gens, order, limits=None):
+        builds.append(len(gens))
+        return buchberger(gens, order, limits)
+
+    monkeypatch.setattr(ei, "ProcessPoolExecutor", CountingPool)
+    monkeypatch.setattr(ei, "buchberger", counting)
+    monkeypatch.setattr(ei.os, "cpu_count", lambda: 64)
+    serial = vnumber(cycle_graph(6), with_oracle=True)
+    assert len(builds) == 1
+    pooled = vnumber(cycle_graph(6), with_oracle=True, jobs=2)
+    assert serial_pool == [2] and len(tasks) == 2 and len(builds) == 3
+    assert [[rec.s for rec in share] for share in tasks] == [
+        [e.s for e in serial.per_prime[i::2]] for i in range(2)
+    ]
+    assert [dataclasses.replace(e, millis=0) for e in pooled.per_prime] == [
+        dataclasses.replace(e, millis=0) for e in serial.per_prime
+    ]
 
 
 @settings(max_examples=30, deadline=None,
