@@ -6,10 +6,12 @@ Commands:
     vnum gb <graph-file> [--sigma <perm-file>]
 
 Exit codes: 0 success, 2 parse error, 3 precondition violation,
-4 resource exhaustion, 5 disagreement between routes (the pipeline against
-a domination formula or the oracle); after 4 and 5 the full report is
-still emitted, and 5 wins over 4.  A --bounds-only run never exits 5 but
-can exit 4, as its searches run under the time budget.
+4 resource exhaustion, 5 a failed check: routes that disagree (the
+pipeline against a domination formula or the oracle), a v outside its
+window, and for `vnum cycle` a failed combined basis check or a global
+value outside the global window; after 4 and 5 the full report is still
+emitted, and 5 wins over 4.  A --bounds-only run never exits 5 but can
+exit 4, as its searches run under the time budget.
 
 Environment: VNUM_MAX_POLYS (basis size cap, default 20000), VNUM_MAX_DEGREE
 (degree cap, 40), VNUM_TIME_BUDGET_SECS (seconds per prime or gb run, 300) and
@@ -123,9 +125,19 @@ def render_table(doc, out):
     print(f"global v = {g['v']}  attained at {argmin}", file=out)
 
 
+def _outside_window(v, window):
+    """v lies outside its window; False while either is unknown (a window
+    is (None, None) until its search ends)."""
+    lo, hi = window
+    return v is not None and lo is not None and not lo <= v <= hi
+
+
 def _exit_code(entries):
-    """5 when a route disagrees, else 4 when a prime hit a limit, else 0."""
-    if any(e.agree is False or e.oracle_ok is False for e in entries):
+    """5 when a route disagrees or a v lies outside its window, else 4 when
+    a prime hit a limit, else 0.  The window's upper end is the paper's
+    bound, and its lower end a proven one, so a v outside it is a bug."""
+    if any(e.agree is False or e.oracle_ok is False or _outside_window(e.v, e.window)
+           for e in entries):
         return EXIT_DISAGREE
     if any(e.status != "ok" for e in entries):
         return EXIT_RESOURCE
@@ -185,6 +197,15 @@ def cmd_cycle(ns, limits, jobs, out):
                 f" satisfied={rep.global_in_window} resolved={rep.resolved_value}",
                 file=out,
             )
+    return _cycle_exit_code(rep)
+
+
+def _cycle_exit_code(rep):
+    """_exit_code of a verify_cycle report, whose entries carry the interval
+    windows, so a prime with in_window=False exits 5; so does a failed
+    combined basis check or a global value outside the global window."""
+    if rep.global_in_window is False or any(c.gb_check == "fail" for c in rep.primes):
+        return EXIT_DISAGREE
     return _exit_code(rep.report.per_prime)
 
 

@@ -24,6 +24,7 @@ from .errors import DEFAULT_LIMITS, PreconditionError, ResourceLimitError
 from .graphs import (
     Graph,
     components_within,
+    cut_automorphism,
     enumerate_min_cuts,
     gamma_c,
     gamma_c_pair,
@@ -36,6 +37,7 @@ from .groebner import (
     packed_intersection,
     packed_product,
     packed_radical_sum,
+    relabelled_basis,
 )
 from .idealops import colon_ideal, min_new_degree
 from .matroids import (
@@ -220,13 +222,25 @@ class GraphWork:
     containing S, and the minors then remove the P_T with T strictly
     containing S; vnumber_at_prime gives the proof.  Two cuts share the
     colon by a minor f_ab when a and b lie in one component of G - S for
-    each; each cut has its own h."""
+    each; each cut has its own h.
+
+    folded maps each cut whose colon was folded, the representative of its
+    automorphism orbit, to the reduced basis of (J_G : P_S); _orbit_colon
+    fills it and maps it.  An automorphism sigma of G permutes the edges,
+    so it fixes J_G, and it carries the components of G - S onto those of
+    G - sigma(S), so it carries P_S onto P_sigma(S).  It therefore carries
+    (J_G : P_S) onto (J_G : P_sigma(S)), whose reduced basis under the
+    default order is unique: one engine run on the image of the
+    representative's basis gives the basis a fold of sigma(S) would give.
+    A prime that hits a limit while folding records nothing, and a pool
+    worker's copy fills its own memo."""
 
     cuts: list
     dependents: dict | None = None
     jg: GroebnerBasis | None = None
     before: list = field(default_factory=list)
     after: list = field(default_factory=list)
+    folded: dict = field(default_factory=dict)
 
     @classmethod
     def of(cls, g):
@@ -294,6 +308,24 @@ def _transversal_colon(g, rec, work, order, limits):
     return None if basis is None else GroebnerBasis(basis, order)
 
 
+def _orbit_colon(g, rec, work, order, limits):
+    """The reduced basis of (J_G : P_S) at a cut the transversal route
+    leaves, once per automorphism orbit: the image, under an automorphism
+    sigma of G with sigma(R) = S, of a representative R's basis in
+    work.folded, re-reduced by one engine run (relabelled_basis); else the
+    fold of colon_ideal over colon_generators, recorded in work.folded as
+    a new representative.  GraphWork gives the proof that both give one
+    basis.  The automorphism search (cut_automorphism) runs under limits,
+    and turns away a representative whose cheap invariants differ from
+    S's before it searches."""
+    for r, basis in work.folded.items():
+        sigma = cut_automorphism(g, r, rec.s, limits)
+        if sigma is not None:
+            return relabelled_basis(basis, sigma, limits)
+    quot = work.folded[rec.s] = colon_ideal(work.jg, colon_generators(g, rec.s), order, limits)
+    return quot
+
+
 def vnumber_at_prime(g, s, limits=DEFAULT_LIMITS, _work=None):
     """Localized v-number at P_S with a certified witness.
 
@@ -321,11 +353,20 @@ def vnumber_at_prime(g, s, limits=DEFAULT_LIMITS, _work=None):
           which is (J_G : P_S).
 
     At a cut inside no other cut, (J_G : h) already is that intersection,
-    and the fold's containment shortcut skips every minor.  All routes
-    give the reduced basis of one ideal, which is unique, so the witness is
-    the same either way.  Any such f has (J_G : f) = P_S, because J_G is
-    radical: f P_S lies in J_G, so every minimal prime that misses f
-    contains P_S and, being minimal, is P_S.  The certificate
+    and the fold's containment shortcut skips every minor.
+
+    The fold runs once per orbit of the automorphism group of G on these
+    cuts (_orbit_colon).  An automorphism sigma permutes the edges, so it
+    fixes J_G, and it carries the components of G - S onto those of
+    G - sigma(S), hence P_S onto P_sigma(S) and (J_G : P_S) onto
+    (J_G : P_sigma(S)).  The image of a reduced basis of (J_G : P_S)
+    generates (J_G : P_sigma(S)), and one engine run on it gives that
+    colon's reduced basis under the default order.
+
+    All routes give the reduced basis of one ideal, which is unique, so the
+    witness is the same either way.  Any such f has (J_G : f) = P_S,
+    because J_G is radical: f P_S lies in J_G, so every minimal prime that
+    misses f contains P_S and, being minimal, is P_S.  The certificate
     (J_G : f) = P_S is still checked, by two memberships against P_S and
     the report's basis of J_G (see check_colon_equals_prime), and its
     failure is an AssertionError; at the primes the route serves, the
@@ -346,7 +387,7 @@ def vnumber_at_prime(g, s, limits=DEFAULT_LIMITS, _work=None):
         work.jg = buchberger(edge_ideal_gens(g), order, limits)
     quot = _transversal_colon(g, rec, work, order, limits)
     if quot is None:
-        quot = colon_ideal(work.jg, colon_generators(g, s), order, limits)
+        quot = _orbit_colon(g, rec, work, order, limits)
     d, w = min_new_degree(quot, work.jg, order, limits)
     if not check_colon_equals_prime(g, w, s, limits, _work=work):
         raise AssertionError("(J_G : w) != P_S for the witness w; impossible as J_G is radical")
@@ -510,7 +551,8 @@ def vnumber(g, limits=DEFAULT_LIMITS, with_oracle=False, algebraic=True, jobs=1)
     wider than one worker, otherwise here.  Worker i of width takes the
     share cuts[i::width], every width-th prime, as one task, and runs it as
     a serial run does, on one GraphWork: its basis of J_G, the colons memoised
-    on it and the oracle's running intersections serve all of its primes.
+    on it, its folded orbit representatives and the oracle's running
+    intersections serve all of its primes.
     Entries stay in prime order either way.
     """
     work = GraphWork.of(g)

@@ -307,6 +307,81 @@ def gamma_c_pair(g, s, limits=DEFAULT_LIMITS):
 
 
 # ---------------------------------------------------------------------------
+# automorphisms that carry one cut onto another
+# ---------------------------------------------------------------------------
+
+def cut_invariant(g, s):
+    """(|S|, the sorted degrees on S, the sorted component sizes of g - S),
+    equal for two vertex sets whenever an automorphism carries one onto the
+    other."""
+    adj = g.adjacency
+    comps = _mask_components(adj, _mask(g.vertices - s))
+    return len(s), sorted(adj[v].bit_count() for v in s), sorted(c.bit_count() for c in comps)
+
+
+def cut_automorphism(g, r, s, limits=DEFAULT_LIMITS):
+    """An automorphism sigma of the connected g with sigma(r) = s, as
+    {vertex: image}, or None when there is none.  Sets whose cut_invariant
+    differ are turned away before any search; otherwise _carry searches,
+    under the deadline of limits."""
+    r, s = frozenset(r), frozenset(s)
+    if cut_invariant(g, r) != cut_invariant(g, s):
+        return None
+    return _carry(g, r, s, limits)
+
+
+def _carry(g, r, s, limits):
+    """The backtracking search of cut_automorphism; it stops at the first
+    automorphism found and never lists the group.
+
+    Vertices are placed in breadth-first order from the least vertex of r,
+    so each one after the first has a placed neighbour p and may only go to
+    a neighbour of sigma(p).  A vertex v goes to an unused w of the same
+    degree, in s exactly when v is in r, whose neighbours among the images
+    placed so far are exactly the images of v's placed neighbours.  A
+    complete placement is then a bijection that keeps every edge and every
+    non-edge, and carries r onto s.  The deadline is checked at every node.
+    """
+    adj = g.adjacency
+    targets = {}
+    for w in g.vertices:
+        key = (adj[w].bit_count(), w in s)
+        targets[key] = targets.get(key, 0) | 1 << w
+    root = min(r or g.vertices)
+    order, parent = [root], {root: None}
+    for v in order:
+        for u in sorted(g.vertices):
+            if adj[v] >> u & 1 and u not in parent:
+                parent[u] = v
+                order.append(u)
+    sigma = {}
+
+    def place(i, used):
+        if i == len(order):
+            return True
+        limits.check_time()
+        v = order[i]
+        image = 0
+        for u in order[:i]:
+            if adj[v] >> u & 1:
+                image |= 1 << sigma[u]
+        cands = targets.get((adj[v].bit_count(), v in r), 0) & ~used
+        if parent[v] is not None:
+            cands &= adj[sigma[parent[v]]]
+        while cands:
+            low = cands & -cands
+            cands ^= low
+            w = low.bit_length() - 1
+            if adj[w] & used == image:
+                sigma[v] = w
+                if place(i + 1, used | low):
+                    return True
+        return False
+
+    return sigma if place(0, 0) else None
+
+
+# ---------------------------------------------------------------------------
 # graph text format
 # ---------------------------------------------------------------------------
 

@@ -60,6 +60,8 @@ from .poly import (
     packed_divides,
     packed_is_squarefree,
     packed_lcm,
+    x_index,
+    y_index,
 )
 
 
@@ -429,6 +431,28 @@ def packed_radical_sum(gb, qs, limits):
     if all(packed_is_squarefree(max(p), gb.order.guard) for p in basis):
         return basis
     return None
+
+
+def relabelled_basis(gb, sigma, limits):
+    """The reduced GroebnerBasis, under gb's order, of the image of gb's
+    ideal under x_i -> x_sigma(i), y_i -> y_sigma(i), for sigma a
+    {vertex: image} bijection of the vertices.  The images of the
+    generators generate the image ideal, so one engine run on them gives
+    its reduced basis."""
+    order = gb.order
+    n = order.n
+    slot = list(range(order.width))
+    for i, j in sigma.items():
+        slot[x_index(i, n)], slot[y_index(i, n)] = x_index(j, n), y_index(j, n)
+
+    def image(m):
+        exps = [0] * order.width
+        for k, e in enumerate(order.unpack(m)):
+            exps[slot[k]] = e
+        return order.pack(exps)
+
+    mapped = [{image(m): c for m, c in p.items()} for p in gb.packed]
+    return GroebnerBasis(_buchberger(mapped, order, limits), order)
 
 
 # ---------------------------------------------------------------------------

@@ -455,6 +455,60 @@ def test_formula_mismatch_exits_disagree(c5_file, monkeypatch):
     assert code == EXIT_OK
 
 
+def test_v_outside_its_window_exits_disagree(tmp_path, monkeypatch):
+    import vnum.edgeideals
+
+    honest = vnum.edgeideals.min_transversal_weight
+
+    def three_short(family, limits):
+        weight, witness = honest(family, limits)
+        return weight - 3, witness
+
+    c6 = tmp_path / "c6.txt"
+    c6.write_text("n 6\n" + "".join(f"{i} {i + 1}\n" for i in range(1, 6)) + "1 6\n")
+    monkeypatch.setattr(vnum.edgeideals, "min_transversal_weight", three_short)
+    code, text = run_main(["compute", str(c6), "--json"])
+    assert code == EXIT_DISAGREE
+    primes = json.loads(text)["primes"]
+    assert [p["s"] for p in primes if p["v"] > p["window"]["hi"]] == [[1, 3, 5], [2, 4, 6]]
+    assert all(p["oracle_ok"] is None for p in primes)
+
+
+CYCLE_MUTANTS = {  # name in vnum.cycles: (replacement, the check it fails)
+    "localized_bounds": (lambda n, s: (n + 1, n + 1, True), "in_window=False"),
+    "_combined_basis_check": (lambda *args: False, "gb=fail"),
+    "global_bounds": (lambda n: (n + 1, n + 1), "satisfied=False"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CYCLE_MUTANTS))
+def test_each_cycle_check_joins_the_exit_code(monkeypatch, name):
+    import vnum.cycles
+
+    mutant, failed = CYCLE_MUTANTS[name]
+    monkeypatch.setattr(vnum.cycles, name, mutant)
+    code, text = run_main(["cycle", "6"])
+    assert code == EXIT_DISAGREE and failed in text
+    assert run_main(["cycle", "6", "--json"])[0] == EXIT_DISAGREE
+
+
+def test_golden_reports_keep_every_v_inside_its_window():
+    """The golden inputs keep exit code 0: no v of theirs leaves its window
+    and no oracle disagrees (their cycle table is checked for exit 0 by
+    test_golden)."""
+    from test_golden import DATA
+
+    docs = json.loads((DATA / "corpus5_oracle.json").read_text())
+    docs.append(json.loads((DATA / "cycle6.json").read_text()))
+    docs += [json.loads(line) for line in (DATA / "bounds6.jsonl").read_text().splitlines()]
+    primes = [p for doc in docs for p in doc["primes"]]
+    assert len(primes) > 100
+    for p in primes:
+        lo, hi = p["window"]["lo"], p["window"]["hi"]
+        assert p["v"] is None or lo <= p["v"] <= hi, p
+        assert p["oracle_ok"] is not False, p
+
+
 def test_version_flag(capsys):
     assert main(["--version"]) == 0
     assert "vnum" in capsys.readouterr().out

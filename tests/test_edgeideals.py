@@ -445,13 +445,14 @@ def test_a_prime_computed_alone_divides_under_a_deadline(monkeypatch):
 def test_colons_by_one_polynomial_are_memoised_on_the_jg_basis(monkeypatch):
     """verify_cycle(6) builds J_G in one Buchberger run and takes the
     transversal route, one run each, at its empty cut and its nine 2-cuts.
-    Its two 3-cuts lie inside no other cut, so each folds one colon, by its
-    linear form h = sum of x_i over S, and the fold's containment shortcut
-    skips its minors: one run each.  The 12 certificates decide
-    (J_G : w) = P_S by memberships in P_S and in the basis of J_G, so they
-    add no colon and no run.  On C_7 the 3-cuts {1,3,5} and {1,3,6} are
-    maximal too, and each folds only its own h; the basis of J_G keeps
-    both colons."""
+    Its two 3-cuts lie inside no other cut and in one automorphism orbit:
+    {1,3,5} folds one colon, by its linear form h = sum of x_i over S, and
+    the fold's containment shortcut skips its minors, one run; {2,4,6}
+    re-reduces the rotated basis of {1,3,5}, one run.  The 12 certificates
+    decide (J_G : w) = P_S by memberships in P_S and in the basis of J_G,
+    so they add no colon and no run.  On C_7 the 3-cuts {1,3,5} and
+    {1,3,6} are maximal too and lie in one orbit: the first folds only its
+    own h, the second is mapped, and the basis of J_G keeps one colon."""
     import vnum.edgeideals as ei
     import vnum.groebner as gr
     import vnum.idealops as ideal_ops
@@ -488,7 +489,7 @@ def test_colons_by_one_polynomial_are_memoised_on_the_jg_basis(monkeypatch):
     monkeypatch.setattr(gr, "_buchberger", counting_runs)
     monkeypatch.setattr(ei, "_transversal_colon", counting_route)
     verify_cycle(6)
-    assert calls == {"fold": 2, "certificate": 0, "certified": 12, "runs": 13, "route": 10}
+    assert calls == {"fold": 1, "certificate": 0, "certified": 12, "runs": 13, "route": 10}
 
     g = cycle_graph(7)
     work = ei.GraphWork.of(g)
@@ -497,8 +498,8 @@ def test_colons_by_one_polynomial_are_memoised_on_the_jg_basis(monkeypatch):
         before = calls["fold"]
         vnumber_at_prime(g, s, _work=work)
         folds.append(calls["fold"] - before)
-    assert folds == [1, 1]
-    assert len(work.jg.colons) == 2
+    assert folds == [1, 0]
+    assert len(work.jg.colons) == 1 and list(work.folded) == [frozenset({1, 3, 5})]
 
 
 def test_oracle_shares_its_intersections_within_a_report(monkeypatch):
