@@ -46,18 +46,14 @@ from .idealops import (
     NoNewElementError,
     colon_ideal,
     colon_poly,
-    initial_ideal,
     intersect,
     min_new_degree,
 )
 from .matroids import (
-    RankTwoMatroid,
     Transversal,
     TransversalFamily,
     delta_family,
-    matroid_of_cut,
     min_transversal_weight,
-    small_dependent_diff,
 )
 from .edgeideals import (
     PrimeResult,

@@ -22,11 +22,9 @@ from .groebner import (
     pack_poly,
     packed_colon,
     packed_intersection,
-    packed_is_squarefree,
     packed_product,
     unpack_poly,
 )
-from .poly import Polynomial
 
 
 class NoNewElementError(VnumError):
@@ -108,20 +106,6 @@ def colon_ideal(gens, pgens, order, limits=DEFAULT_LIMITS):
         result = cf if result is None else packed_intersection(result, cf, order, limits)
     # with no result every generator of P lies in I, hence P subset I and (I : P) = (1)
     return GroebnerBasis([{0: 1}] if result is None else result, order)
-
-
-def initial_ideal(gb):
-    """Leading monomials of a reduced basis, plus a squarefree flag.
-
-    The flag is a sufficient condition only: when every leading monomial is
-    squarefree the ideal is radical.
-    """
-    if not isinstance(gb, GroebnerBasis):
-        raise PreconditionError("initial_ideal needs a reduced Groebner basis")
-    order = gb.order
-    lms = [max(p) for p in gb.packed]
-    monos = [Polynomial(order.width, {order.unpack(lm): 1}) for lm in lms]
-    return monos, all(packed_is_squarefree(lm, order.guard) for lm in lms)
 
 
 def min_new_degree(jgens, igens, order, limits=DEFAULT_LIMITS):

@@ -1,12 +1,19 @@
-"""Rank-two matroids attached to cuts, dependency-difference families, and
-minimum-weight transversals.
+"""Dependency-difference families of cuts, minimum-weight transversals, and
+the generators of the transversal ideal.
 
-The matroid of a cut S has S as loops and the components of the graph minus
-S as parallel classes; a subset is dependent exactly when it meets a loop,
-hits some class twice, or has three or more elements.  Family members below
-are sets of "small dependents": subsets of the vertex set of size one or
-two, encoded as frozensets.  The delta family and its minimum transversal
-weight give the upper end of a prime's window.
+The matroid M(S) of a cut S has S as loops and the components of the graph
+minus S as parallel classes; a subset is dependent exactly when it meets a
+loop, hits some class twice, or has three or more elements.  Family members
+below are sets of "small dependents", the subsets of 1..n of size one or
+two, and each such set is an int bit mask over one numbering of them: the
+singleton {v} is bit v - 1, and the pair {i, j} with i < j is bit n plus
+its rank among the pairs in lexicographic order.  That is the order by size
+and then by sorted elements, so a lower bit is always the lesser element:
+the ranks of the transversal search, and with them its branching order and
+its tie-break toward the lexicographically least optimal set, are the
+ascending bits of a mask.  Frozensets are built only for what is read from
+outside: a family's members and the witness Transversal.  The delta family
+and its minimum transversal weight give the upper end of a prime's window.
 
 The generators of the transversal ideal L_S that the pipeline sums with
 J_G are built from connected dominating sets, with no delta family: at the
@@ -16,16 +23,17 @@ those terms (packed_concise_generators gives the proof).
 
 from __future__ import annotations
 
+import functools
 import itertools
+from collections import Counter
 from dataclasses import dataclass
 
 from .errors import DEFAULT_LIMITS, STEPS_PER_CLOCK_CHECK, NoTransversalError, PreconditionError
 from .graphs import (
-    components_within,
+    _mask,
     connected_dominating_sets,
     enumerate_min_cuts,
     induced_subgraph,
-    is_minimal_kcut,
     two_cut_sides,
 )
 from .groebner import pack_poly
@@ -37,73 +45,44 @@ from .poly import (
 )
 
 
-@dataclass(frozen=True)
-class RankTwoMatroid:
-    """Loops plus a partition of the remaining ground set into parallel classes."""
-
-    n: int
-    loops: frozenset
-    parallel_classes: tuple
-
-    def __post_init__(self):
-        cover = set(self.loops)
-        for cls in self.parallel_classes:
-            if cover & cls:
-                raise PreconditionError("loops and classes must be disjoint")
-            cover |= cls
-        if cover != set(range(1, self.n + 1)):
-            raise PreconditionError("loops and classes must cover the ground set")
-
-    def is_dependent(self, b):
-        b = frozenset(b)
-        if b & self.loops:
-            return True
-        if any(len(b & cls) >= 2 for cls in self.parallel_classes):
-            return True
-        return len(b) >= 3
-
-    def small_dependents(self):
-        """All dependent subsets of size one or two."""
-        out = set()
-        for i in range(1, self.n + 1):
-            if self.is_dependent({i}):
-                out.add(frozenset({i}))
-        for i, j in itertools.combinations(range(1, self.n + 1), 2):
-            if self.is_dependent({i, j}):
-                out.add(frozenset({i, j}))
-        return out
+def _bits(mask):
+    """The positions of the set bits of mask, ascending."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
 
 
-def _require_in_min(g, s):
-    s = frozenset(s)
-    if s:
-        ok, _ = is_minimal_kcut(g, s)
-        if not ok:
-            raise PreconditionError(f"{sorted(s)} is not the empty set or a minimal k-cut")
-    return s
+@functools.cache
+def _small_subsets(n):
+    """The singletons and pairs of 1..n in bit order; one tuple per n,
+    shared by every decode."""
+    pairs = map(frozenset, itertools.combinations(range(1, n + 1), 2))
+    return (*(frozenset({v}) for v in range(1, n + 1)), *pairs)
 
 
-def matroid_of_cut(g, s):
-    """Matroid with loops s and the components of g minus s as classes."""
-    s = _require_in_min(g, s)
-    return RankTwoMatroid(g.n, s, tuple(components_within(g, g.vertices - s)))
-
-
-def small_dependent_diff(m1, m2):
-    """Singletons and pairs dependent in m1 but independent in m2."""
-    if m1.n != m2.n:
-        raise PreconditionError("matroids live on different ground sets")
-    return frozenset(e for e in m1.small_dependents() if not m2.is_dependent(e))
+def _decode(n, masks):
+    """Each mask as the frozenset of its singletons and pairs of 1..n."""
+    table = _small_subsets(n)
+    return [frozenset(table[b] for b in _bits(m)) for m in masks]
 
 
 @dataclass(frozen=True)
 class TransversalFamily:
     """Per other minimal cut S', the small dependents of M(S') that are
-    independent in M(S); sources[i] is the S' that produced members[i]."""
+    independent in M(S) as a mask; sources[i] is the S' that produced
+    masks[i]."""
 
     n: int
-    members: tuple
+    masks: tuple
     sources: tuple
+
+    @functools.cached_property
+    def members(self):
+        """The masks as frozensets of singletons and pairs, built on first use."""
+        return tuple(_decode(self.n, self.masks))
 
 
 @dataclass(frozen=True)
@@ -121,10 +100,6 @@ class Transversal:
         return frozenset({frozenset({v}) for v in self.singles}) | self.pairs
 
 
-def _element_key(e):
-    return (len(e), tuple(sorted(e)))
-
-
 def _split(elements):
     singles = frozenset(next(iter(e)) for e in elements if len(e) == 1)
     pairs = frozenset(e for e in elements if len(e) == 2)
@@ -133,26 +108,30 @@ def _split(elements):
 
 def cut_dependents(g, cuts, limits=DEFAULT_LIMITS):
     """{S: D(M(S))} for the cut records of one enumeration of g, in their
-    order: the singletons and pairs dependent in the matroid of each cut,
-    listed straight from its loops and parallel classes.  Each pair is one
-    frozenset shared by every cut, and each vertex carries the set of its
-    singleton and every pair through it, so a cut's dependents are a union
-    of those.  Checks the deadline of limits every STEPS_PER_CLOCK_CHECK
-    cuts."""
-    verts = sorted(g.vertices)
-    pair = {(i, j): frozenset({i, j}) for i, j in itertools.combinations(verts, 2)}
+    order: the mask of the singletons and pairs dependent in the matroid of
+    each cut, read straight from its loops and parallel classes.  Each
+    vertex carries the mask of its singleton and every pair through it,
+    and the pairs {i, j > i} are consecutive bits, so the pairs inside a
+    component are one shifted vertex mask per vertex.  Checks the deadline
+    of limits every STEPS_PER_CLOCK_CHECK cuts."""
+    n, verts = g.n, sorted(g.vertices)
+    low = {i: n + (i - 1) * n - (i - 1) * i // 2 for i in verts}  # the bit of the pair {i, i + 1}
     through = {
-        i: frozenset([frozenset({i})] + [pair[min(i, j), max(i, j)] for j in verts if j != i])
+        i: 1 << (i - 1) | sum(1 << (low[min(i, j)] + abs(i - j) - 1) for j in verts if j != i)
         for i in verts
     }
     out = {}
     for step, rec in enumerate(cuts, 1):
         if not step % STEPS_PER_CLOCK_CHECK:
             limits.check_time()
-        deps = set().union(*(through[i] for i in rec.s))
+        deps = 0
+        for i in rec.s:
+            deps |= through[i]
         for comp in rec.components:
-            deps.update(pair[e] for e in itertools.combinations(sorted(comp), 2))
-        out[rec.s] = frozenset(deps)
+            w = _mask(comp)
+            for i in comp:
+                deps |= w >> (i + 1) << low[i]
+        out[rec.s] = deps
     return out
 
 
@@ -160,14 +139,12 @@ def delta_family(g, s, dependents=None, limits=DEFAULT_LIMITS):
     """One member per other minimal prime: D(M(S')) minus D(M(S)).
 
     A set of at most two elements is dependent in M(S) exactly when it lies
-    in D(M(S)), so the member for S' is the set difference
-    D(M(S')) - D(M(S)), which equals
-    small_dependent_diff(matroid_of_cut(g, S'), matroid_of_cut(g, S)).
-    dependents is cut_dependents of one enumeration of g, so a report that
-    needs the family of every prime computes each D once; without it the
-    cuts are enumerated here.  An s outside the enumeration raises
-    PreconditionError.  The member loop checks the deadline of limits every
-    STEPS_PER_CLOCK_CHECK cuts.
+    in D(M(S)), so the member for S' is the mask of D(M(S')) without the
+    bits of D(M(S)).  dependents is cut_dependents of one enumeration of g,
+    so a report that needs the family of every prime computes each D once;
+    without it the cuts are enumerated here.  An s outside the enumeration
+    raises PreconditionError.  The member loop checks the deadline of
+    limits every STEPS_PER_CLOCK_CHECK cuts.
     """
     s = frozenset(s)
     if dependents is None:
@@ -175,15 +152,15 @@ def delta_family(g, s, dependents=None, limits=DEFAULT_LIMITS):
     base = dependents.get(s)
     if base is None:
         raise PreconditionError(f"{sorted(s)} is not the empty set or a minimal k-cut")
-    members = []
+    masks = []
     sources = []
     for step, (other, deps) in enumerate(dependents.items(), 1):
         if not step % STEPS_PER_CLOCK_CHECK:
             limits.check_time()
         if other != s:
-            members.append(deps - base)
+            masks.append(deps & ~base)
             sources.append(other)
-    return TransversalFamily(g.n, tuple(members), tuple(sources))
+    return TransversalFamily(g.n, tuple(masks), tuple(sources))
 
 
 def min_transversal_weight(family, limits=DEFAULT_LIMITS):
@@ -194,50 +171,55 @@ def min_transversal_weight(family, limits=DEFAULT_LIMITS):
     is, so only the inclusion-minimal members are searched; the
     transversals, and so the result, are the same.
 
-    Branch and bound over members ordered by ascending size, branching on
-    elements by descending coverage, on one additive cost: with the E
-    elements numbered 0..E-1 in key order, element i costs its weight, its
-    size 1 or 2, times 2^E, less 2^(E-1-i).  The subtracted parts of a set sum to less
+    Branch and bound over members ordered by ascending size and then by
+    their ascending bits, branching on elements by descending coverage, on
+    one additive cost: with the E elements of the members numbered 0..E-1
+    in ascending bit order, element i costs its weight, its size 1 or 2,
+    times 2^E, less 2^(E-1-i).  The subtracted parts of a set sum to less
     than 2^E, so cost orders sets by weight first; and of two sets of equal
     weight, neither contains the other, so the one holding the least
     element where they differ, the lexicographically lesser, has the
-    larger subtracted sum and the lower cost.  The inclusion-minimal filter
-    checks the deadline of limits every STEPS_PER_CLOCK_CHECK members, and
-    the search every STEPS_PER_CLOCK_CHECK nodes.
+    larger subtracted sum and the lower cost.  Only the optimal set is
+    decoded, into the witness.  The inclusion-minimal filter checks the
+    deadline of limits every STEPS_PER_CLOCK_CHECK members, and the search
+    every STEPS_PER_CLOCK_CHECK nodes.
     """
     members = []
-    for step, m in enumerate(sorted(map(frozenset, family.members), key=len), 1):
+    union = 0
+    for step, m in enumerate(sorted(family.masks, key=int.bit_count), 1):
         if not step % STEPS_PER_CLOCK_CHECK:
             limits.check_time()
-        if not any(k <= m for k in members):
+        if all(map((~m).__and__, members)):  # no kept member lies inside m
             members.append(m)
-    if any(not m for m in members):
+            union |= m
+    if 0 in members:
         raise NoTransversalError("a family member is empty; no transversal exists")
 
-    elements = sorted(set().union(*members), key=_element_key)
+    elements = _bits(union)
     top = 1 << len(elements)
-    cost = {e: len(e) * top - (top >> (i + 1)) for i, e in enumerate(elements)}
-    rank = {e: i for i, e in enumerate(elements)}
-    members.sort(key=lambda m: (len(m), sorted(map(rank.get, m))))
-    coverage = {e: sum(1 for m in members if e in m) for e in elements}
-    # each member with its elements in branching order and the cost of its
-    # cheapest element; the first unhit member is always the one to branch
-    # on, since members are sorted
-    branches = [
-        (m, sorted(m, key=lambda e: (-coverage[e], rank[e])), min(map(cost.get, m)))
+    cost = {b: (1 if b < family.n else 2) * top - (top >> (i + 1)) for i, b in enumerate(elements)}
+    bits = {m: _bits(m) for m in members}
+    members.sort(key=lambda m: (len(bits[m]), bits[m]))
+    coverage = Counter(b for m in members for b in bits[m])
+    # per member, its elements as (bit, cost) in branching order, and the
+    # cost of its cheapest element, its lowest bit (singletons lie below
+    # pairs, and a lower rank subtracts more); the first unhit member is
+    # always the one to branch on, since members are sorted
+    branches = {
+        m: [(1 << b, cost[b]) for b in sorted(bits[m], key=lambda b: (-coverage[b], b))]
         for m in members
-    ]
-    best = [sum(cost.values()) + 1, None]  # cost, set
+    }
+    cheapest = {m: cost[bits[m][0]] for m in members}
+    best = [sum(cost.values()) + 1, 0]  # cost, set
     nodes = itertools.count(1)
 
     def lower_bound(unhit):
         # pairwise-disjoint unhit members must be hit by distinct elements,
         # each costing at least its member's cheapest element
-        used = set()
-        lb = 0
-        for m, _, cheapest in unhit:
-            if used.isdisjoint(m):
-                lb += cheapest
+        used = lb = 0
+        for m in unhit:
+            if not used & m:
+                lb += cheapest[m]
                 used |= m
         return lb
 
@@ -250,11 +232,11 @@ def min_transversal_weight(family, limits=DEFAULT_LIMITS):
             return
         if spent + lower_bound(unhit) >= best[0]:
             return
-        for e in unhit[0][1]:
-            search([b for b in unhit if e not in b[0]], chosen | {e}, spent + cost[e])
+        for bit, c in branches[unhit[0]]:
+            search([m for m in unhit if not m & bit], chosen | bit, spent + c)
 
-    search(branches, frozenset(), 0)
-    witness = _split(best[1])
+    search(members, 0, 0)
+    witness = _split(*_decode(family.n, [best[1]]))
     return witness.weight, witness
 
 

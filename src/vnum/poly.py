@@ -65,10 +65,6 @@ def mono_degree(a):
     return sum(a)
 
 
-def mono_is_squarefree(a):
-    return all(e <= 1 for e in a)
-
-
 # ---------------------------------------------------------------------------
 # packed monomials (one int each, laid out by a MonomialOrder)
 # ---------------------------------------------------------------------------

@@ -1,15 +1,31 @@
 """Reference operations that only the tests use: tuple monomial helpers,
-membership tests on Polynomials, the definition-level generators of the
-transversal ideal L_S from the minimal transversals of the delta family,
-and Polynomial views of those and of the cut generators.  The runtime
-package works on packed polynomials and needs none of them."""
+membership tests on Polynomials and the initial ideal of a basis, the
+definition-level rank-two matroid of a cut, the delta family and its
+branch and bound on frozensets of singletons and pairs, the
+definition-level generators of the transversal ideal L_S from the minimal
+transversals of the delta family, and Polynomial views of those and of the
+cut generators.  The runtime package works on packed polynomials and on
+bit masks of singletons and pairs, and needs none of them."""
 
 from __future__ import annotations
 
 import itertools
+from dataclasses import dataclass
 
-from vnum.errors import DEFAULT_LIMITS, STEPS_PER_CLOCK_CHECK, NoTransversalError
-from vnum.graphs import induced_subgraph, is_connected_dominating, two_cut_sides
+from vnum.errors import (
+    DEFAULT_LIMITS,
+    STEPS_PER_CLOCK_CHECK,
+    NoTransversalError,
+    PreconditionError,
+)
+from vnum.graphs import (
+    components_within,
+    enumerate_min_cuts,
+    induced_subgraph,
+    is_connected_dominating,
+    is_minimal_kcut,
+    two_cut_sides,
+)
 from vnum.groebner import (
     GroebnerBasis,
     _buchberger,
@@ -17,19 +33,23 @@ from vnum.groebner import (
     _times_t,
     normal_form,
     pack_poly,
+    packed_is_squarefree,
     packed_product,
     unpack_poly,
 )
 from vnum.idealops import _packed, as_basis
 from vnum.matroids import (
     _distinct,
-    _element_key,
     _split,
     _split_products,
     delta_family,
     packed_concise_generators,
 )
-from vnum.poly import MonomialOrder, edge_binomial, sorted_generators
+from vnum.poly import MonomialOrder, Polynomial, edge_binomial, sorted_generators
+
+
+def mono_is_squarefree(a):
+    return all(e <= 1 for e in a)
 
 
 def mono_divides(a, b):
@@ -67,6 +87,196 @@ def radical_membership(f, gens, order, limits=DEFAULT_LIMITS):
     """Rabinowitsch test: f in sqrt(I) iff 1 in I + (1 - t*f)."""
     return packed_radical_contains(_packed(gens, order), pack_poly(f, order), order, limits)
 
+
+def initial_ideal(gb):
+    """Leading monomials of a reduced basis, plus a squarefree flag.
+
+    The flag is a sufficient condition only: when every leading monomial is
+    squarefree the ideal is radical.
+    """
+    if not isinstance(gb, GroebnerBasis):
+        raise PreconditionError("initial_ideal needs a reduced Groebner basis")
+    order = gb.order
+    lms = [max(p) for p in gb.packed]
+    monos = [Polynomial(order.width, {order.unpack(lm): 1}) for lm in lms]
+    return monos, all(packed_is_squarefree(lm, order.guard) for lm in lms)
+
+
+# ---------------------------------------------------------------------------
+# the matroid of a cut, and the delta family on frozensets
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class RankTwoMatroid:
+    """Loops plus a partition of the remaining ground set into parallel classes."""
+
+    n: int
+    loops: frozenset
+    parallel_classes: tuple
+
+    def __post_init__(self):
+        cover = set(self.loops)
+        for cls in self.parallel_classes:
+            if cover & cls:
+                raise PreconditionError("loops and classes must be disjoint")
+            cover |= cls
+        if cover != set(range(1, self.n + 1)):
+            raise PreconditionError("loops and classes must cover the ground set")
+
+    def is_dependent(self, b):
+        b = frozenset(b)
+        if b & self.loops:
+            return True
+        if any(len(b & cls) >= 2 for cls in self.parallel_classes):
+            return True
+        return len(b) >= 3
+
+    def small_dependents(self):
+        """All dependent subsets of size one or two."""
+        out = set()
+        for i in range(1, self.n + 1):
+            if self.is_dependent({i}):
+                out.add(frozenset({i}))
+        for i, j in itertools.combinations(range(1, self.n + 1), 2):
+            if self.is_dependent({i, j}):
+                out.add(frozenset({i, j}))
+        return out
+
+
+def _require_in_min(g, s):
+    s = frozenset(s)
+    if s:
+        ok, _ = is_minimal_kcut(g, s)
+        if not ok:
+            raise PreconditionError(f"{sorted(s)} is not the empty set or a minimal k-cut")
+    return s
+
+
+def matroid_of_cut(g, s):
+    """Matroid with loops s and the components of g minus s as classes."""
+    s = _require_in_min(g, s)
+    return RankTwoMatroid(g.n, s, tuple(components_within(g, g.vertices - s)))
+
+
+def small_dependent_diff(m1, m2):
+    """Singletons and pairs dependent in m1 but independent in m2."""
+    if m1.n != m2.n:
+        raise PreconditionError("matroids live on different ground sets")
+    return frozenset(e for e in m1.small_dependents() if not m2.is_dependent(e))
+
+
+@dataclass(frozen=True)
+class SetFamily:
+    """A delta family with frozenset members: sources[i] is the other cut
+    that produced members[i]."""
+
+    n: int
+    members: tuple
+    sources: tuple
+
+
+def _element_key(e):
+    return (len(e), tuple(sorted(e)))
+
+
+def cut_dependent_sets(g, cuts, limits=DEFAULT_LIMITS):
+    """cut_dependents on frozensets: {S: D(M(S))} for the cut records of one
+    enumeration of g, each D the frozenset of its singletons and pairs.
+    Each pair is one frozenset shared by every cut, and each vertex carries
+    the set of its singleton and every pair through it, so a cut's
+    dependents are a union of those."""
+    verts = sorted(g.vertices)
+    pair = {(i, j): frozenset({i, j}) for i, j in itertools.combinations(verts, 2)}
+    through = {
+        i: frozenset([frozenset({i})] + [pair[min(i, j), max(i, j)] for j in verts if j != i])
+        for i in verts
+    }
+    out = {}
+    for step, rec in enumerate(cuts, 1):
+        if not step % STEPS_PER_CLOCK_CHECK:
+            limits.check_time()
+        deps = set().union(*(through[i] for i in rec.s))
+        for comp in rec.components:
+            deps.update(pair[e] for e in itertools.combinations(sorted(comp), 2))
+        out[rec.s] = frozenset(deps)
+    return out
+
+
+def delta_family_sets(g, s, dependents=None, limits=DEFAULT_LIMITS):
+    """delta_family on frozensets: one member D(M(S')) - D(M(S)) per other
+    minimal prime, from cut_dependent_sets."""
+    s = frozenset(s)
+    if dependents is None:
+        dependents = cut_dependent_sets(g, enumerate_min_cuts(g), limits)
+    base = dependents.get(s)
+    if base is None:
+        raise PreconditionError(f"{sorted(s)} is not the empty set or a minimal k-cut")
+    members = []
+    sources = []
+    for step, (other, deps) in enumerate(dependents.items(), 1):
+        if not step % STEPS_PER_CLOCK_CHECK:
+            limits.check_time()
+        if other != s:
+            members.append(deps - base)
+            sources.append(other)
+    return SetFamily(g.n, tuple(members), tuple(sources))
+
+
+def min_transversal_weight_sets(family, limits=DEFAULT_LIMITS):
+    """min_transversal_weight on the frozenset members of any family: the
+    same branch and bound, with each element a frozenset and its rank its
+    place in _element_key order."""
+    members = []
+    for step, m in enumerate(sorted(map(frozenset, family.members), key=len), 1):
+        if not step % STEPS_PER_CLOCK_CHECK:
+            limits.check_time()
+        if not any(k <= m for k in members):
+            members.append(m)
+    if any(not m for m in members):
+        raise NoTransversalError("a family member is empty; no transversal exists")
+
+    elements = sorted(set().union(*members), key=_element_key)
+    top = 1 << len(elements)
+    cost = {e: len(e) * top - (top >> (i + 1)) for i, e in enumerate(elements)}
+    rank = {e: i for i, e in enumerate(elements)}
+    members.sort(key=lambda m: (len(m), sorted(map(rank.get, m))))
+    coverage = {e: sum(1 for m in members if e in m) for e in elements}
+    branches = [
+        (m, sorted(m, key=lambda e: (-coverage[e], rank[e])), min(map(cost.get, m)))
+        for m in members
+    ]
+    best = [sum(cost.values()) + 1, None]  # cost, set
+    nodes = itertools.count(1)
+
+    def lower_bound(unhit):
+        used = set()
+        lb = 0
+        for m, _, cheapest in unhit:
+            if used.isdisjoint(m):
+                lb += cheapest
+                used |= m
+        return lb
+
+    def search(unhit, chosen, spent):
+        if not next(nodes) % STEPS_PER_CLOCK_CHECK:
+            limits.check_time()
+        if not unhit:
+            if spent < best[0]:
+                best[:] = [spent, chosen]
+            return
+        if spent + lower_bound(unhit) >= best[0]:
+            return
+        for e in unhit[0][1]:
+            search([b for b in unhit if e not in b[0]], chosen | {e}, spent + cost[e])
+
+    search(branches, frozenset(), 0)
+    witness = _split(best[1])
+    return witness.weight, witness
+
+
+# ---------------------------------------------------------------------------
+# the definition-level generators of L_S
+# ---------------------------------------------------------------------------
 
 def _set_key(elements):
     return tuple(sorted(_element_key(e) for e in elements))

@@ -9,7 +9,13 @@ import itertools
 import pytest
 
 from conftest import connected_graphs_upto_iso
-from reference import cut_generators_full, radical_membership, transversal_ideal_generic
+from reference import (
+    cut_generators_full,
+    initial_ideal,
+    mono_is_squarefree,
+    radical_membership,
+    transversal_ideal_generic,
+)
 
 from vnum.graphs import (
     Graph,
@@ -22,7 +28,6 @@ from vnum.groebner import buchberger, is_groebner_basis, normal_form
 from vnum.idealops import (
     as_basis,
     colon_ideal,
-    initial_ideal,
     intersect,
 )
 from vnum.matroids import delta_family, min_transversal_weight
@@ -33,7 +38,7 @@ from vnum.edgeideals import (
     prime_component,
     vnumber_at_prime,
 )
-from vnum.poly import MonomialOrder, mono_is_squarefree
+from vnum.poly import MonomialOrder
 from vnum.cycles import cycle_graph, global_bounds, intervals, verify_cycle
 
 

@@ -292,8 +292,7 @@ def test_empty_cut_transversal_sum_has_squarefree_initial(small_connected_graphs
     """J_G plus the empty-cut transversal generators has a squarefree
     initial ideal under the default order (hence is radical), so the
     weight bound is an equality there."""
-    from vnum.idealops import initial_ideal
-    from reference import transversal_ideal_generic
+    from reference import initial_ideal, transversal_ideal_generic
 
     for g in small_connected_graphs:
         if len(g.vertices) < 3 or len(g.vertices) > 4 or g.is_complete():

@@ -25,7 +25,6 @@ from vnum.idealops import (
     NoNewElementError,
     colon_ideal,
     colon_poly,
-    initial_ideal,
     intersect,
     min_new_degree,
 )
@@ -41,7 +40,7 @@ from vnum.poly import (
     y_poly,
 )
 from vnum.cycles import cycle_graph
-from reference import ideal_membership, radical_membership
+from reference import ideal_membership, initial_ideal, radical_membership
 
 
 def sympy_reduced_gb(polys, n):

@@ -2,25 +2,34 @@
 
 import itertools
 
+import networkx as nx
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from vnum.errors import NoTransversalError, PreconditionError
 from vnum.graphs import Graph, complete_graph, enumerate_min_cuts, path_graph
 from vnum.cycles import cycle_graph
 from vnum.matroids import (
-    RankTwoMatroid,
     TransversalFamily,
+    _decode,
+    cut_dependents,
     delta_family,
-    matroid_of_cut,
     min_transversal_weight,
-    small_dependent_diff,
 )
 from vnum.poly import edge_binomial, one_poly, poly_to_text
+from conftest import connected_graphs
+from test_cli import GRID_EDGES
 from reference import (
+    RankTwoMatroid,
+    SetFamily,
     concise_cut_generators,
+    cut_dependent_sets,
     cut_generators_full,
+    delta_family_sets,
+    matroid_of_cut,
+    min_transversal_weight_sets,
     minimal_transversals,
+    small_dependent_diff,
     transversal_ideal_generic,
 )
 
@@ -130,7 +139,7 @@ def test_min_transversal_weight_examples():
     we, te = min_transversal_weight(TransversalFamily(4, (), ()))
     assert we == 0 and te.weight == 0
     with pytest.raises(NoTransversalError):
-        min_transversal_weight(TransversalFamily(4, (frozenset(),), (frozenset(),)))
+        min_transversal_weight(TransversalFamily(4, (0,), (frozenset(),)))
 
 
 def test_min_transversal_weight_against_bruteforce(small_connected_graphs):
@@ -147,28 +156,75 @@ def test_min_transversal_weight_against_bruteforce(small_connected_graphs):
             assert t.weight == w
 
 
-def test_min_transversal_witness_is_the_least_optimal_set(small_connected_graphs):
-    # the tie-break against every transversal of the least weight, compared
-    # by the sorted keys of their elements
-    def key(elements):
-        return sorted((len(e), sorted(e)) for e in elements)
+def witness_key(elements):
+    """The sorted keys of a set of singletons and pairs, which order sets
+    of one weight lexicographically."""
+    return sorted((len(e), sorted(e)) for e in elements)
 
+
+def brute_least_optimal_key(members, w):
+    """witness_key of the least transversal of weight w, by exhaustion."""
+    pool = sorted(set().union(*members), key=lambda e: (len(e), sorted(e)))
+    optimal = [
+        set(combo)
+        for size in range(w + 1)
+        for combo in itertools.combinations(pool, size)
+        if sum(1 if len(e) == 1 else 2 for e in combo) == w
+        and all(m & set(combo) for m in members)
+    ]
+    return min(map(witness_key, optimal))
+
+
+def test_min_transversal_witness_is_the_least_optimal_set(small_connected_graphs):
+    # the tie-break against every transversal of the least weight
     checked = 0
     for g in small_connected_graphs + [cycle_graph(6)]:
         for rec in enumerate_min_cuts(g):
             fam = delta_family(g, rec.s)
             w, t = min_transversal_weight(fam)
-            pool = sorted(set().union(*fam.members), key=lambda e: (len(e), sorted(e)))
-            optimal = [
-                set(combo)
-                for size in range(w + 1)
-                for combo in itertools.combinations(pool, size)
-                if sum(1 if len(e) == 1 else 2 for e in combo) == w
-                and all(m & set(combo) for m in fam.members)
-            ]
-            assert key(t.elements()) == min(map(key, optimal)), (sorted(g.edges), sorted(rec.s))
+            assert witness_key(t.elements()) == brute_least_optimal_key(fam.members, w), (
+                sorted(g.edges), sorted(rec.s))
             checked += 1
     assert checked == 92
+
+
+def small_subsets(n):
+    """The singletons and pairs of 1..n in the numbering of the module
+    docstring: element i of the list is bit i of a mask."""
+    return [fs(v) for v in range(1, n + 1)] + [
+        frozenset(p) for p in itertools.combinations(range(1, n + 1), 2)
+    ]
+
+
+@st.composite
+def set_families(draw):
+    """(n, members): up to six arbitrary sets of singletons and pairs of
+    1..n for n <= 5, not only the families that come from cuts."""
+    n = draw(st.integers(1, 5))
+    elements = st.sampled_from(small_subsets(n))
+    return n, draw(st.lists(st.frozensets(elements, max_size=4), max_size=6))
+
+
+@settings(max_examples=200, deadline=None)
+@given(set_families())
+@example((3, []))
+@example((3, [fs(fs(1)), frozenset()]))
+def test_masks_of_arbitrary_families_against_bruteforce(family):
+    """The numbering read back as the members drawn; the least weight
+    and the least optimal witness against exhaustion; an empty family has
+    weight 0 and an empty member no transversal."""
+    n, members = family
+    bit = {e: i for i, e in enumerate(small_subsets(n))}
+    masks = tuple(sum(1 << bit[e] for e in m) for m in members)
+    fam = TransversalFamily(n, masks, (frozenset(),) * len(masks))
+    assert fam.members == tuple(members)
+    if frozenset() in members:
+        with pytest.raises(NoTransversalError):
+            min_transversal_weight(fam)
+        return
+    w, t = min_transversal_weight(fam)
+    assert w == brute_min_weight(members)
+    assert witness_key(t.elements()) == brute_least_optimal_key(members, w)
 
 
 def test_minimal_transversals_are_minimal_transversals(small_connected_graphs):
@@ -318,7 +374,7 @@ def reference_family(g, s, cuts):
     base = matroid_of_cut(g, s)
     others = [rec.s for rec in cuts if rec.s != s]
     members = tuple(small_dependent_diff(matroid_of_cut(g, t), base) for t in others)
-    return TransversalFamily(g.n, members, tuple(others))
+    return SetFamily(g.n, members, tuple(others))
 
 
 def test_delta_family_equals_reference_construction(small_connected_graphs):
@@ -334,8 +390,54 @@ def test_delta_family_equals_reference_construction(small_connected_graphs):
             ref = reference_family(g, rec.s, cuts)
             assert fam.members == ref.members, (sorted(g.edges), sorted(rec.s))
             assert fam.sources == ref.sources, (sorted(g.edges), sorted(rec.s))
-            assert min_transversal_weight(fam) == min_transversal_weight(ref)
+            assert min_transversal_weight(fam) == min_transversal_weight_sets(ref)
             checked += 1
     assert checked > 200
     with pytest.raises(PreconditionError):
         delta_family(cycle_graph(4), {1, 2})  # adjacent pair is not a minimal cut
+
+
+def decoded(n, dependents):
+    """cut_dependents with each mask decoded into frozensets."""
+    return dict(zip(dependents, _decode(n, dependents.values())))
+
+
+def assert_masks_equal_the_sets(g):
+    """At every cut of g, the mask layer against the frozenset reference:
+    the decoded dependents, the decoded members and sources of the delta
+    family, and the (weight, witness) of the branch and bound.  Returns
+    the number of cuts."""
+    cuts = enumerate_min_cuts(g)
+    masks = cut_dependents(g, cuts)
+    sets = cut_dependent_sets(g, cuts)
+    assert decoded(g.n, masks) == sets, sorted(g.edges)
+    for rec in cuts:
+        fam = delta_family(g, rec.s, masks)
+        ref = delta_family_sets(g, rec.s, sets)
+        assert (fam.members, fam.sources) == (ref.members, ref.sources), sorted(rec.s)
+        got, want = min_transversal_weight(fam), min_transversal_weight_sets(ref)
+        assert got == want, (sorted(g.edges), sorted(rec.s))
+    return len(cuts)
+
+
+def test_masks_equal_the_sets_on_the_atlas_and_cycles():
+    """Every connected graph of networkx's atlas on at most 6 vertices and
+    C_7..C_10, and the dependents of the 3 x 6 grid's 2,203 cuts."""
+    graphs = [
+        Graph.make(h.number_of_nodes(), [(u + 1, v + 1) for u, v in h.edges()])
+        for h in nx.graph_atlas_g()
+        if 1 <= h.number_of_nodes() <= 6 and nx.is_connected(h)
+    ]
+    assert len(graphs) == 143
+    checked = sum(assert_masks_equal_the_sets(g) for g in graphs + [cycle_graph(n) for n in range(7, 11)])
+    assert checked == 780
+    grid = Graph.make(18, GRID_EDGES)
+    cuts = enumerate_min_cuts(grid)
+    assert len(cuts) == 2203
+    assert decoded(grid.n, cut_dependents(grid, cuts)) == cut_dependent_sets(grid, cuts)
+
+
+@settings(max_examples=20, deadline=None)
+@given(connected_graphs(8, 9))
+def test_masks_equal_the_sets_on_random_graphs(g):
+    assert_masks_equal_the_sets(g)

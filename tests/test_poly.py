@@ -13,7 +13,6 @@ from vnum.poly import (
     Polynomial,
     edge_binomial,
     mono_degree,
-    mono_is_squarefree,
     mono_mul,
     one_poly,
     packed_divides,
@@ -25,7 +24,7 @@ from vnum.poly import (
     xy_monomial,
     y_poly,
 )
-from reference import mono_coprime, mono_div, mono_divides, mono_lcm
+from reference import mono_coprime, mono_div, mono_divides, mono_is_squarefree, mono_lcm
 
 
 def test_edge_binomial_text():
