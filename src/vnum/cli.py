@@ -11,10 +11,13 @@ pipeline against a domination formula or the oracle), a v outside its
 window, and for `vnum cycle` a failed combined basis check or a global
 value outside the global window; after 4 and 5 the full report is still
 emitted, and 5 wins over 4.  A --bounds-only run never exits 5 but can
-exit 4, as its searches run under the time budget.
+exit 4, as its searches run under the time budget.  The cut enumeration
+runs first, under a time budget of its own; when that runs out, compute
+exits 4 with an error line and no report.
 
 Environment: VNUM_MAX_POLYS (basis size cap, default 20000), VNUM_MAX_DEGREE
-(degree cap, 40), VNUM_TIME_BUDGET_SECS (seconds per prime or gb run, 300) and
+(degree cap, 40), VNUM_TIME_BUDGET_SECS (seconds per prime, cut enumeration
+or gb run, 300) and
 VNUM_JOBS (worker processes for compute and cycle, 1).  Each must be a
 positive number, an integer except for the time budget; any other value
 exits 2 with an error line.  A prime's one time budget covers its
@@ -152,7 +155,7 @@ def cmd_compute(ns, limits, jobs, out):
     algebraic = not ns.bounds_only
     if ns.prime and ns.prime != "all":  # an empty --prime or --prime all acts as --all
         s = _parse_prime(ns.prime, g)
-        work = GraphWork.of(g)
+        work = GraphWork.of(g, limits.start_clock())
         entries = [prime_entry(work.record(s), g, work, limits, ns.oracle, algebraic)]
         global_v, argmin = global_minimum(entries)
     else:

@@ -243,8 +243,9 @@ class GraphWork:
     folded: dict = field(default_factory=dict)
 
     @classmethod
-    def of(cls, g):
-        return cls(enumerate_min_cuts(g))
+    def of(cls, g, limits=DEFAULT_LIMITS):
+        """The work of g with its cuts enumerated under the deadline of limits."""
+        return cls(enumerate_min_cuts(g, limits))
 
     def record(self, s):
         """The cut record of S; the only test that S indexes a minimal prime."""
@@ -377,7 +378,7 @@ def vnumber_at_prime(g, s, limits=DEFAULT_LIMITS, _work=None):
     it the cuts are enumerated here.
     """
     limits = limits.start_clock()
-    work = GraphWork.of(g) if _work is None else _work
+    work = GraphWork.of(g, limits) if _work is None else _work
     rec = work.record(s)
     s = rec.s
     if s == frozenset() and g.is_complete():
@@ -404,7 +405,7 @@ def oracle_vnumber_at_prime(g, s, limits=DEFAULT_LIMITS, _work=None):
     cuts are enumerated here.
     """
     limits = limits.start_clock()
-    work = GraphWork.of(g) if _work is None else _work
+    work = GraphWork.of(g, limits) if _work is None else _work
     rec = work.record(s)
     order = MonomialOrder(g.n)
     q = work.others(g, rec, order, limits) or [{0: 1}]
@@ -544,9 +545,11 @@ def vnumber(g, limits=DEFAULT_LIMITS, with_oracle=False, algebraic=True, jobs=1)
 
     Enumerates the cuts once and builds each prime's entry with prime_entry.
     When some cut has three or more sides, every such prime's window reads
-    the cut_dependents, so they are built here once for the report, under a
-    clock of their own, before any prime's clock starts; if that clock runs
-    out, each window tries again under its prime's clock.  The primes run on
+    the cut_dependents, so they are built here once for the report.  The
+    enumeration and that build share one clock of their own, started before
+    any prime's clock.  If it runs out in the enumeration, ResourceLimitError
+    leaves with no report; if it runs out in the build, each window tries
+    again under its prime's clock.  The primes run on
     a process pool of at most one worker per prime and per cpu when that is
     wider than one worker, otherwise here.  Worker i of width takes the
     share cuts[i::width], every width-th prime, as one task, and runs it as
@@ -555,10 +558,11 @@ def vnumber(g, limits=DEFAULT_LIMITS, with_oracle=False, algebraic=True, jobs=1)
     intersections serve all of its primes.
     Entries stay in prime order either way.
     """
-    work = GraphWork.of(g)
+    clock = limits.start_clock()
+    work = GraphWork.of(g, clock)
     if any(rec.k > 2 for rec in work.cuts):
         try:
-            work.dependents = cut_dependents(g, work.cuts, limits.start_clock())
+            work.dependents = cut_dependents(g, work.cuts, clock)
         except ResourceLimitError:
             pass
     run = functools.partial(

@@ -185,22 +185,26 @@ class CutRecord:
     components: tuple
 
 
-def enumerate_min_cuts(g):
+def enumerate_min_cuts(g, limits=DEFAULT_LIMITS):
     """{empty set} plus every minimal k-cut, sorted lexicographically.
 
     A depth-first search over the vertices of degree at least two, in
     increasing order, so it meets the sets in lexicographic order; it never
     extends a set with a vertex that has fewer than two neighbours outside
     it (the prune of the module docstring), and frozensets are built only
-    for the cuts kept.
+    for the cuts kept.  The search checks the deadline of limits every
+    STEPS_PER_CLOCK_CHECK nodes.
     """
     _require_connected(g)
     adj = g.adjacency
     candidates = [v for v in sorted(g.vertices) if adj[v].bit_count() >= 2]
     records = [CutRecord(frozenset(), 1, tuple(connected_components(g)))]
+    steps = itertools.count(1)
 
     def extend(members, outside, start):
         for idx in range(start, len(candidates)):
+            if not next(steps) % STEPS_PER_CLOCK_CHECK:
+                limits.check_time()
             v = candidates[idx]
             rest = outside ^ 1 << v
             grown = members + [v]

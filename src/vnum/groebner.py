@@ -21,10 +21,18 @@ adds one constant.
 
 Pair selection uses the normal strategy (smallest lcm first, ties broken by
 the lex key of the lcm and then by the pair's indices).  The pairs wait in
-a heap whose entries carry that key, computed once when the pair is made;
-pairs pruned later are dropped lazily when they surface.  The pair set is
-maintained with the Gebauer-Moeller criteria, so the engine never computes
-an S-polynomial it can prove redundant.
+a heap whose entries carry that key, computed once when the pair is made,
+and every pair that enters the heap is reduced.  Of the Gebauer-Moeller
+criteria only M and F run, on the pairs a new basis element makes: a pair
+is dropped when another new lcm strictly divides its lcm (M), and of the
+new pairs sharing one lcm at most one is kept, none when one of them has
+coprime leading monomials (F).  Criterion B, which would prune queued
+pairs after the fact, is not run.  A pair (i, j) it would prune for a new
+element t has lcm(i, t) and lcm(j, t) strictly dividing its own lcm, so
+under the normal strategy the pairs for those lcms surface first, and by
+then (i, j) as a rule reduces to zero, costing one S-polynomial and no
+basis element.  The output never depends on it: the reduced basis is
+unique.
 
 Division runs against a ReducerTable: the basis as rows (lm, lc, tail,
 tail lcm) in ascending order of leading monomial, the first row whose
@@ -279,19 +287,18 @@ def s_polynomial(f, g, order):
 # Buchberger with Gebauer-Moeller pair pruning
 # ---------------------------------------------------------------------------
 
-def _gm_update(lms, live, t, order):
-    """Pairs (i, t) that survive the Gebauer-Moeller criteria, each with its
-    lcm; prunes the live pairs {(i, j): lcm} in place by criterion B."""
+def _gm_update(lms, t, order):
+    """Heap entries (degree of lcm, lcm, (i, t)) of the new pairs (i, t) that
+    survive the Gebauer-Moeller criteria M and F."""
     guard = order.guard
     lmt = lms[t]
-    lcms = [packed_lcm(lm, lmt, guard) for lm in lms[:t]]
 
     # pairs sharing an lcm share the verdicts of criteria M and F
     by_lcm = {}
-    for i, l in enumerate(lcms):
-        by_lcm.setdefault(l, []).append(i)
+    for i, lm in enumerate(lms[:t]):
+        by_lcm.setdefault(packed_lcm(lm, lmt, guard), []).append(i)
 
-    new_pairs = {}
+    new_pairs = []
     minimal = []  # the new lcms no other one strictly divides, ascending
     for l in sorted(by_lcm):
         # criterion M: another new lcm strictly divides l.  A strict divisor
@@ -307,12 +314,7 @@ def _gm_update(lms, live, t, order):
             # pair exists, that is one whose lcm is the product
             idxs = by_lcm[l]
             if not any(l == lms[i] + lmt for i in idxs):
-                new_pairs[(idxs[0], t)] = l
-
-    # criterion B: prune old pairs strictly refined by the new leading term
-    for (i, j), lij in list(live.items()):
-        if lcms[i] != lij and lcms[j] != lij and packed_divides(lmt, lij, guard):
-            del live[(i, j)]
+                new_pairs.append((order.packed_degree(l), l, (idxs[0], t)))
     return new_pairs
 
 
@@ -338,8 +340,7 @@ def _buchberger(polys, order, limits):
     rows = []
     lms = []
     table = ReducerTable(order)
-    live = {}  # pair -> lcm, for every pair not yet processed or pruned
-    queue = []  # (deg lcm, packed lcm, pair); stale entries are skipped
+    queue = []  # (deg lcm, packed lcm, pair)
 
     def push(h):
         limits.check_time()
@@ -352,18 +353,14 @@ def _buchberger(polys, order, limits):
         row = table.insert(h)
         rows.append(row)
         lms.append(row[0])
-        for pair, l in _gm_update(lms, live, t, order).items():
-            live[pair] = l
-            heapq.heappush(queue, (order.packed_degree(l), l, pair))
+        for entry in _gm_update(lms, t, order):
+            heapq.heappush(queue, entry)
 
     for key in sorted(start):
         push(start[key])
 
     while queue:
-        i, j = heapq.heappop(queue)[2]
-        l = live.pop((i, j), None)
-        if l is None:  # pruned
-            continue
+        _, l, (i, j) = heapq.heappop(queue)
         limits.check_time()
         h = _nf_terms(_spoly(rows[i], rows[j], l, guard), table, limits)
         if not h:
@@ -399,13 +396,12 @@ def _reduce(polys, order, limits):
     return out
 
 
-def is_groebner_basis(polys, order, skip_coprime=True, limits=DEFAULT_LIMITS):
+def is_groebner_basis(polys, order, limits=DEFAULT_LIMITS):
     """Buchberger criterion: every S-pair reduces to zero modulo the set.
 
-    With skip_coprime the pairs with coprime leading terms are skipped;
-    their S-polynomials reduce to zero by Buchberger's first criterion, so
-    the verdict is unaffected.  Pass skip_coprime=False for the exhaustive
-    check.
+    The pairs with coprime leading terms are skipped; their S-polynomials
+    reduce to zero by Buchberger's first criterion, so the verdict is
+    unaffected.
     """
     table = ReducerTable(order)
     rows = [table.insert(pack_poly(p, order)) for p in polys if not p.is_zero]
@@ -413,7 +409,7 @@ def is_groebner_basis(polys, order, skip_coprime=True, limits=DEFAULT_LIMITS):
     for i, fi in enumerate(rows):
         for fj in rows[i + 1:]:
             lcm = packed_lcm(fi[0], fj[0], guard)
-            if skip_coprime and lcm == fi[0] + fj[0]:
+            if lcm == fi[0] + fj[0]:
                 continue
             limits.check_time()
             if _nf_terms(_spoly(fi, fj, lcm, guard), table, limits):

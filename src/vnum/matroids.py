@@ -142,13 +142,15 @@ def delta_family(g, s, dependents=None, limits=DEFAULT_LIMITS):
     in D(M(S)), so the member for S' is the mask of D(M(S')) without the
     bits of D(M(S)).  dependents is cut_dependents of one enumeration of g,
     so a report that needs the family of every prime computes each D once;
-    without it the cuts are enumerated here.  An s outside the enumeration
-    raises PreconditionError.  The member loop checks the deadline of
-    limits every STEPS_PER_CLOCK_CHECK cuts.
+    without it the cuts are enumerated here, and the clock of limits is
+    started unless it already runs.  An s outside the enumeration raises
+    PreconditionError.  The member loop checks the deadline of limits every
+    STEPS_PER_CLOCK_CHECK cuts.
     """
     s = frozenset(s)
     if dependents is None:
-        dependents = cut_dependents(g, enumerate_min_cuts(g), limits)
+        limits = limits.start_clock()
+        dependents = cut_dependents(g, enumerate_min_cuts(g, limits), limits)
     base = dependents.get(s)
     if base is None:
         raise PreconditionError(f"{sorted(s)} is not the empty set or a minimal k-cut")

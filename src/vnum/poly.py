@@ -169,9 +169,6 @@ class MonomialOrder:
         """Sort key: tuple comparison of keys is the lex comparison."""
         return tuple(m[v] for v in self.priority)
 
-    def greater(self, a, b):
-        return self.key(a) > self.key(b)
-
     def __eq__(self, other):
         """Orders are values: equal n, sigma and elim_t give the same order."""
         if not isinstance(other, MonomialOrder):
@@ -303,14 +300,6 @@ class Polynomial:
     def is_homogeneous(self):
         degs = {mono_degree(m) for m in self.terms}
         return len(degs) <= 1
-
-    def is_constant(self):
-        return all(mono_degree(m) == 0 for m in self.terms)
-
-    def leading_monomial(self, order):
-        if not self.terms:
-            raise PreconditionError("zero polynomial has no leading monomial")
-        return max(self.terms, key=order.key)
 
     def sorted_terms(self, order=None):
         order = order or MonomialOrder(self.width // 2)

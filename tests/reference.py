@@ -1,5 +1,7 @@
 """Reference operations that only the tests use: tuple monomial helpers,
-membership tests on Polynomials and the initial ideal of a basis, the
+the monomial order's comparison and a Polynomial's leading monomial,
+membership tests on Polynomials, the all-pairs Buchberger criterion and
+the initial ideal of a basis, the
 definition-level rank-two matroid of a cut, the delta family and its
 branch and bound on frozensets of singletons and pairs, the
 definition-level generators of the transversal ideal L_S from the minimal
@@ -28,6 +30,7 @@ from vnum.graphs import (
 )
 from vnum.groebner import (
     GroebnerBasis,
+    ReducerTable,
     _buchberger,
     _t_extension,
     _times_t,
@@ -35,6 +38,7 @@ from vnum.groebner import (
     pack_poly,
     packed_is_squarefree,
     packed_product,
+    s_polynomial,
     unpack_poly,
 )
 from vnum.idealops import _packed, as_basis
@@ -70,6 +74,18 @@ def mono_coprime(a, b):
     return all(x == 0 or y == 0 for x, y in zip(a, b))
 
 
+def greater(order, a, b):
+    """a > b for tuple monomials under order."""
+    return order.key(a) > order.key(b)
+
+
+def leading_monomial(f, order):
+    """The greatest monomial of a nonzero Polynomial under order."""
+    if f.is_zero:
+        raise PreconditionError("zero polynomial has no leading monomial")
+    return max(f.terms, key=order.key)
+
+
 def ideal_membership(f, gens, order=None, limits=DEFAULT_LIMITS):
     """True iff f lies in the ideal generated by gens."""
     if order is None:
@@ -86,6 +102,18 @@ def packed_radical_contains(ps, f, order, limits):
 def radical_membership(f, gens, order, limits=DEFAULT_LIMITS):
     """Rabinowitsch test: f in sqrt(I) iff 1 in I + (1 - t*f)."""
     return packed_radical_contains(_packed(gens, order), pack_poly(f, order), order, limits)
+
+
+def is_groebner_basis_all_pairs(polys, order, limits=DEFAULT_LIMITS):
+    """Buchberger's criterion with no pair skipped: the S-polynomial of every
+    pair of nonzero polys, those with coprime leading terms included,
+    reduces to zero modulo polys."""
+    gens = [p for p in polys if not p.is_zero]
+    table = ReducerTable(order, [pack_poly(p, order) for p in gens])
+    return all(
+        normal_form(s_polynomial(f, g, order), table, limits=limits).is_zero
+        for f, g in itertools.combinations(gens, 2)
+    )
 
 
 def initial_ideal(gb):

@@ -12,6 +12,8 @@ from conftest import connected_graphs_upto_iso
 from reference import (
     cut_generators_full,
     initial_ideal,
+    is_groebner_basis_all_pairs,
+    leading_monomial,
     mono_is_squarefree,
     radical_membership,
     transversal_ideal_generic,
@@ -194,7 +196,7 @@ def test_criterion_06a_path_bases_all_graphs_n6():
             if not g.edges:
                 continue
             gb = admissible_path_basis(g)
-            assert is_groebner_basis(list(gb.generators), gb.order, skip_coprime=False)
+            assert is_groebner_basis_all_pairs(list(gb.generators), gb.order)
             checked += 1
     report("6a", checked >= 140, f"path bases verified on {checked} connected graphs, n <= 6")
 
@@ -210,7 +212,7 @@ def test_criterion_06b_06c_combined_cut_bases(two_cut_sample):
         combined = path_part + cut_part
         assert is_groebner_basis(combined, order), (sorted(g.edges), sorted(rec.s))
         for p in combined:
-            assert mono_is_squarefree(p.leading_monomial(order)), (
+            assert mono_is_squarefree(leading_monomial(p, order)), (
                 sorted(g.edges), sorted(rec.s))
     report("6b/6c", True,
            f"combined bases pass with squarefree leading terms on {len(two_cut_sample)} pairs")
@@ -279,33 +281,33 @@ def test_criterion_10_saturation_lemmas():
         g = cycle_graph(n)
         order = MonomialOrder(n)
         jg = buchberger(edge_ideal_gens(g), order)
-        in_j = [p.leading_monomial(order) for p in jg.generators]
+        in_j = [leading_monomial(p, order) for p in jg.generators]
         for i in range(1, n + 1):
             prev = (i - 2) % n + 1
             nxt = i % n + 1
             # colon by x_i: leading terms inside in(J) + (x,y over prev)(x,y over nxt)
             products = [
-                (a * b).leading_monomial(order)
+                leading_monomial(a * b, order)
                 for a in (x_poly(prev, n), y_poly(prev, n))
                 for b in (x_poly(nxt, n), y_poly(nxt, n))
             ]
             for p in colon_poly(jg, x_poly(i, n), order):
-                lm = p.leading_monomial(order)
+                lm = leading_monomial(p, order)
                 assert any(mono_divides(m, lm) for m in in_j + products), (n, i)
             # colon by f_{prev,nxt}: initial ideal equals
             # in(J) + (x_i, y_i) + squarefree monomials over the rest
             rest = sorted(set(range(1, n + 1)) - {prev, i, nxt})
             rhs = (
                 in_j
-                + [x_poly(i, n).leading_monomial(order), y_poly(i, n).leading_monomial(order)]
+                + [leading_monomial(x_poly(i, n), order), leading_monomial(y_poly(i, n), order)]
                 + [
-                    xy_monomial(c, [v for v in rest if v not in c], n).leading_monomial(order)
+                    leading_monomial(xy_monomial(c, [v for v in rest if v not in c], n), order)
                     for r in range(len(rest) + 1)
                     for c in itertools.combinations(rest, r)
                 ]
             )
             lhs = [
-                p.leading_monomial(order)
+                leading_monomial(p, order)
                 for p in colon_poly(jg, edge_binomial(prev, nxt, n), order)
             ]
             for lm in lhs:

@@ -185,18 +185,47 @@ GRID_EDGES = [(i, i + 1) for i in range(1, 19) if i % 6] + [(i, i + 6) for i in 
 GRID_CUT = frozenset({2, 5, 8, 11, 15, 16})
 
 
+def grid_file(tmp_path):
+    grid = tmp_path / "grid.txt"
+    grid.write_text("n 18\n" + "".join(f"{u} {v}\n" for u, v in GRID_EDGES))
+    return grid
+
+
 def test_bounds_only_searches_run_under_the_time_budget(tmp_path, monkeypatch):
     """The transversal search at the cut {2,5,8,11,15,16} of the 3 x 6 grid
     takes seconds; under a 5 ms budget it stops with an empty window, and
-    the bounds-only run exits 4."""
-    grid = tmp_path / "grid.txt"
-    grid.write_text("n 18\n" + "".join(f"{u} {v}\n" for u, v in GRID_EDGES))
+    the bounds-only run exits 4.  The cuts are enumerated beforehand, as
+    their enumeration (about 0.1 s) would use up that budget by itself."""
+    import vnum.edgeideals
+    from vnum.graphs import Graph, enumerate_min_cuts
+
+    cuts = enumerate_min_cuts(Graph.make(18, GRID_EDGES))
+    monkeypatch.setattr(vnum.edgeideals, "enumerate_min_cuts", lambda g, limits: cuts)
+    grid = grid_file(tmp_path)
     monkeypatch.setenv("VNUM_TIME_BUDGET_SECS", "0.005")
     code, text = run_main(
         ["compute", str(grid), "--prime", "2,5,8,11,15,16", "--bounds-only", "--json"])
     assert code == EXIT_RESOURCE
     (entry,) = json.loads(text)["primes"]
     assert entry["v"] is None and entry["window"] == {"lo": None, "hi": None}
+
+
+def test_cut_enumeration_runs_under_the_time_budget(tmp_path, monkeypatch, capsys):
+    """The grid's 2,203 cuts are enumerated under a clock of their own,
+    before any prime's: when it runs out, compute exits 4 with an error
+    line and no report."""
+    from vnum.errors import Limits, ResourceLimitError
+    from vnum.graphs import Graph, enumerate_min_cuts
+
+    with pytest.raises(ResourceLimitError):
+        enumerate_min_cuts(Graph.make(18, GRID_EDGES), Limits(time_budget_secs=0.0).start_clock())
+    grid = grid_file(tmp_path)
+    monkeypatch.setenv("VNUM_TIME_BUDGET_SECS", "1e-9")
+    for argv in (["--bounds-only"], ["--prime", "2,5,8,11,15,16", "--bounds-only"]):
+        code, text = run_main(["compute", str(grid), *argv])
+        assert code == EXIT_RESOURCE and text == ""
+        err = capsys.readouterr().err
+        assert err.startswith("error: time budget exceeded") and "Traceback" not in err
 
 
 def test_window_search_set_up_checks_the_clock(monkeypatch):
@@ -367,9 +396,9 @@ def test_pool_enumerates_cuts_once(tmp_path, monkeypatch, serial_pool):
 
     calls = []
 
-    def counting(g):
+    def counting(g, limits):
         calls.append(g)
-        return vnum.graphs.enumerate_min_cuts(g)
+        return vnum.graphs.enumerate_min_cuts(g, limits)
 
     for mod in (vnum.edgeideals, vnum.matroids):
         monkeypatch.setattr(mod, "enumerate_min_cuts", counting)

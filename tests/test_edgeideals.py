@@ -8,6 +8,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 
 from conftest import connected_graphs
+from reference import is_groebner_basis_all_pairs, leading_monomial
 
 from vnum.errors import DEFAULT_LIMITS, PreconditionError
 from vnum.graphs import (
@@ -99,7 +100,7 @@ def test_admissible_path_basis_sigma_order():
     c4 = cycle_graph(4)
     sigma = (2, 3, 4, 1)  # vertex 4 becomes least
     gb = admissible_path_basis(c4, sigma)
-    assert is_groebner_basis(list(gb.generators), MonomialOrder(4, sigma), skip_coprime=False)
+    assert is_groebner_basis_all_pairs(list(gb.generators), MonomialOrder(4, sigma))
 
 
 def test_vnumber_at_prime_examples():
@@ -313,7 +314,7 @@ def test_saturation_by_variable_leading_terms():
         g = cycle_graph(n)
         order = MonomialOrder(n)
         jg = buchberger(edge_ideal_gens(g), order)
-        in_j = [p.leading_monomial(order) for p in jg.generators]
+        in_j = [leading_monomial(p, order) for p in jg.generators]
         i = 1
         prev, nxt = n, 2
         extra = [
@@ -322,10 +323,10 @@ def test_saturation_by_variable_leading_terms():
             (y_poly(prev, n) * x_poly(nxt, n)),
             (y_poly(prev, n) * y_poly(nxt, n)),
         ]
-        extra_lms = [p.leading_monomial(order) for p in extra]
+        extra_lms = [leading_monomial(p, order) for p in extra]
         col = colon_poly(jg, x_poly(i, n), order)
         for p in col:
-            lm = p.leading_monomial(order)
+            lm = leading_monomial(p, order)
             assert any(mono_divides(m, lm) for m in in_j + extra_lms), poly_to_text(p)
 
 
@@ -345,13 +346,13 @@ def test_saturation_by_bridging_binomial_initial_ideal():
     order = MonomialOrder(n)
     jg = buchberger(edge_ideal_gens(g), order)
     col = colon_poly(jg, edge_binomial(prev, nxt, n), order)
-    left = [p.leading_monomial(order) for p in col]
+    left = [leading_monomial(p, order) for p in col]
     rest = sorted(set(range(1, n + 1)) - {prev, i, nxt})
     right_polys = (
-        [p.leading_monomial(order) for p in jg.generators]
-        + [x_poly(i, n).leading_monomial(order), y_poly(i, n).leading_monomial(order)]
+        [leading_monomial(p, order) for p in jg.generators]
+        + [leading_monomial(x_poly(i, n), order), leading_monomial(y_poly(i, n), order)]
         + [
-            xy_monomial(c, [v for v in rest if v not in c], n).leading_monomial(order)
+            leading_monomial(xy_monomial(c, [v for v in rest if v not in c], n), order)
             for r in range(len(rest) + 1)
             for c in it.combinations(rest, r)
         ]
@@ -598,9 +599,9 @@ def test_vnumber_enumerates_cuts_once_per_report(monkeypatch):
 
     calls = []
 
-    def counting(g):
+    def counting(g, limits):
         calls.append(g)
-        return vnum.graphs.enumerate_min_cuts(g)
+        return vnum.graphs.enumerate_min_cuts(g, limits)
 
     monkeypatch.setattr(ei, "enumerate_min_cuts", counting)
     monkeypatch.setattr(mt, "enumerate_min_cuts", counting)

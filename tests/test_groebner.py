@@ -1,6 +1,7 @@
 """Buchberger engine and ideal operations, cross-checked against sympy."""
 
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
@@ -15,7 +16,6 @@ from vnum.groebner import (
     _reduce,
     _row,
     buchberger,
-    is_groebner_basis,
     normal_form,
     pack_poly,
     s_polynomial,
@@ -40,29 +40,53 @@ from vnum.poly import (
     y_poly,
 )
 from vnum.cycles import cycle_graph
-from reference import ideal_membership, initial_ideal, radical_membership
+from reference import (
+    ideal_membership,
+    initial_ideal,
+    is_groebner_basis_all_pairs,
+    leading_monomial,
+    radical_membership,
+)
+
+
+def sympy_ring(n):
+    """The symbols x1 > ... > xn > y1 > ... > yn of the default lex order."""
+    return sympy.symbols([f"x{i}" for i in range(1, n + 1)] + [f"y{i}" for i in range(1, n + 1)])
+
+
+def sympy_expr(p, syms):
+    e = 0
+    for m, c in p.terms.items():
+        term = sympy.Rational(Fraction(c).numerator, Fraction(c).denominator)
+        for v, k in enumerate(m):
+            if k:
+                term *= syms[v] ** k
+        e += term
+    return e
+
+
+def sympy_termsets(exprs, syms):
+    return {
+        frozenset((m, sympy.Rational(c)) for m, c in sympy.Poly(e, *syms).terms())
+        for e in exprs
+    }
 
 
 def sympy_reduced_gb(polys, n):
     """Independent reduced lex basis via sympy, as a set of term dicts."""
-    names = [f"x{i}" for i in range(1, n + 1)] + [f"y{i}" for i in range(1, n + 1)]
-    syms = sympy.symbols(names)
-    exprs = []
-    for p in polys:
-        e = 0
-        for m, c in p.terms.items():
-            term = sympy.Rational(Fraction(c).numerator, Fraction(c).denominator)
-            for v, k in enumerate(m):
-                if k:
-                    term *= syms[v] ** k
-            e += term
-        exprs.append(e)
-    gb = sympy.groebner(exprs, *syms, order="lex")
-    out = set()
-    for e in gb.exprs:
-        poly = sympy.Poly(e, *syms)
-        out.add(frozenset((m, sympy.Rational(c)) for m, c in poly.terms()))
-    return out
+    syms = sympy_ring(n)
+    gb = sympy.groebner([sympy_expr(p, syms) for p in polys], *syms, order="lex", domain="QQ")
+    return sympy_termsets(gb.exprs, syms)
+
+
+def sympy_intersection(ps, qs, n):
+    """The t-free elements of sympy's reduced basis of t*(ps) + (1-t)*(qs)
+    under lex with t greatest: the reduced lex basis of (ps) cap (qs)."""
+    syms = sympy_ring(n)
+    t = sympy.Symbol("t")
+    mixed = [t * sympy_expr(p, syms) for p in ps] + [(1 - t) * sympy_expr(q, syms) for q in qs]
+    gb = sympy.groebner(mixed, t, *syms, order="lex", domain="QQ")
+    return [e for e in gb.exprs if not e.has(t)]
 
 
 def to_termset(p):
@@ -125,14 +149,14 @@ def test_reducer_table_is_a_stable_sort_by_leading_term():
     table = ReducerTable(order)
     for p in packed:
         table.insert(p)
-    expected = sorted(polys, key=lambda p: order.key(p.leading_monomial(order)))
+    expected = sorted(polys, key=lambda p: order.key(leading_monomial(p, order)))
     unpack = order.unpack
     assert [
         {unpack(lm): lc, **{unpack(m): c for m, c in tail}}
         for lm, lc, tail, _ in table.entries
     ] == [p.terms for p in expected]
     assert [unpack(lm) for lm, *_ in ReducerTable(order, packed).entries] == [
-        p.leading_monomial(order) for p in expected
+        leading_monomial(p, order) for p in expected
     ]
 
 
@@ -354,7 +378,7 @@ def test_buchberger_postcheck(small_connected_graphs):
             continue
         order = MonomialOrder(g.n)
         gb = buchberger(edge_ideal_gens(g), order)
-        assert is_groebner_basis(list(gb.generators), order, skip_coprime=False)
+        assert is_groebner_basis_all_pairs(list(gb.generators), order)
 
 
 def test_resource_limits():
@@ -457,5 +481,57 @@ def test_groebner_random_binomials(data):
     gens = [edge_binomial(i, j, n) for i, j in sorted(chosen)]
     gens.append(data.draw(st.sampled_from([x_poly(1, n), y_poly(3, n), x_poly(2, n)])))
     gb = buchberger(gens, order)
-    assert is_groebner_basis(list(gb.generators), order, skip_coprime=False)
+    assert is_groebner_basis_all_pairs(list(gb.generators), order)
     assert {to_termset(p) for p in gb.generators} == sympy_reduced_gb(gens, n)
+
+
+def random_binomials(rng, n, count):
+    """count binomials m1 - c*m2 in the ring of n vertices, with distinct
+    monomials m1 and m2 of degree one or two and c in {1, -1, 2}."""
+    width = 2 * n
+    monos = [
+        tuple(vs.count(v) for v in range(width))
+        for d in (1, 2)
+        for vs in itertools.combinations_with_replacement(range(width), d)
+    ]
+    out = []
+    for _ in range(count):
+        m1, m2 = rng.sample(monos, 2)
+        out.append(Polynomial(width, {m1: 1, m2: -rng.choice((1, -1, 2))}))
+    return out
+
+
+def t_elimination_cases():
+    """(n, I, f): seeded random binomial ideals on two and three vertices,
+    each with a random binomial f, and J_G of C_4 and P_4 against a 2-minor
+    and against x_1."""
+    rng = random.Random(2024)
+    for k in range(12):
+        n = 2 + k % 2
+        gens_i, (f,) = random_binomials(rng, n, 2), random_binomials(rng, n, 1)
+        yield n, gens_i, f
+    for g in (cycle_graph(4), path_graph(4)):
+        for f in (edge_binomial(1, 3, 4), x_poly(1, 4)):
+            yield 4, edge_ideal_gens(g), f
+
+
+def test_t_elimination_runs_match_sympy():
+    """intersect and colon_poly, both t-elimination runs of the engine,
+    against sympy: I cap (f) is the t-free part of sympy's lex basis of
+    t*I + (1-t)*(f), and (I : f) the reduced lex basis of the quotients of
+    that part by f."""
+    for n, gens_i, f in t_elimination_cases():
+        order = MonomialOrder(n)
+        syms = sympy_ring(n)
+        expected = sympy_intersection(gens_i, [f], n)
+        inter = intersect(gens_i, [f], order)
+        assert {to_termset(p) for p in inter} == sympy_termsets(expected, syms), (gens_i, f)
+        fe = sympy_expr(f, syms)
+        quotients = []
+        for e in expected:
+            q, r = sympy.div(e, fe, *syms)
+            assert r == 0
+            quotients.append(q)
+        col = colon_poly(gens_i, f, order)
+        expected = sympy.groebner(quotients, *syms, order="lex", domain="QQ").exprs
+        assert {to_termset(p) for p in col} == sympy_termsets(expected, syms), (gens_i, f)
