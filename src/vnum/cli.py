@@ -5,7 +5,8 @@ Commands:
     vnum cycle <n> [--verify | --bounds]
     vnum gb <graph-file> [--sigma <perm-file>]
 
-Exit codes: 0 success, 2 parse error, 3 precondition violation,
+Exit codes: 0 success, 2 parse error or an unreadable input file (missing,
+a directory, not readable or not UTF-8), 3 precondition violation,
 4 resource exhaustion, 5 a failed check: routes that disagree (the
 pipeline against a domination formula or the oracle), a v outside its
 window, and for `vnum cycle` a failed combined basis check or a global
@@ -69,6 +70,16 @@ def settings_from_env(env=os.environ):
         time_budget_secs=positive("VNUM_TIME_BUDGET_SECS", float, 300.0),
     )
     return limits, positive("VNUM_JOBS", int, 1)
+
+
+def _read_text(path):
+    """The UTF-8 text of the file at path; GraphFormatError, naming the path,
+    when it cannot be read: missing, a directory, not readable or not UTF-8."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise GraphFormatError(f"cannot read {path}: {getattr(exc, 'strerror', None) or exc}")
 
 
 def _parse_prime(text, g):
@@ -148,8 +159,7 @@ def _exit_code(entries):
 
 
 def cmd_compute(ns, limits, jobs, out):
-    with open(ns.graph_file, encoding="utf-8") as fh:
-        g = parse_graph(fh.read())
+    g = parse_graph(_read_text(ns.graph_file))
     if not is_connected(g):
         raise PreconditionError("input graph must be connected")
     algebraic = not ns.bounds_only
@@ -213,12 +223,10 @@ def _cycle_exit_code(rep):
 
 
 def cmd_gb(ns, limits, jobs, out):
-    with open(ns.graph_file, encoding="utf-8") as fh:
-        g = parse_graph(fh.read())
+    g = parse_graph(_read_text(ns.graph_file))
     sigma = None
     if ns.sigma:
-        with open(ns.sigma, encoding="utf-8") as fh:
-            parts = fh.read().split()
+        parts = _read_text(ns.sigma).split()
         try:
             sigma = [int(p) for p in parts]
         except ValueError:
@@ -274,7 +282,7 @@ def main(argv=None, out=None):
         limits, jobs = settings_from_env()
         command = {"compute": cmd_compute, "cycle": cmd_cycle, "gb": cmd_gb}[ns.command]
         return command(ns, limits, jobs, out)
-    except (GraphFormatError, ConfigError, FileNotFoundError) as exc:
+    except (GraphFormatError, ConfigError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     except PreconditionError as exc:

@@ -259,13 +259,8 @@ def _split_products(base, free, order):
         yield {m + shift: c for m, c in base.items()}
 
 
-def _distinct(polys):
-    """Packed polynomials without repeats, in first-seen order."""
-    return list({frozenset(p.items()): p for p in polys}.values())
-
-
 def packed_concise_generators(g, s, order, limits=DEFAULT_LIMITS):
-    """The generators of L_S, packed by order and without repeats, at the
+    """The generators of L_S, packed by order and pairwise distinct, at the
     empty cut of a non-complete connected g or at a minimal 2-cut S; any
     other nonempty s raises PreconditionError.  The build runs under the
     deadline of limits.
@@ -298,6 +293,18 @@ def packed_concise_generators(g, s, order, limits=DEFAULT_LIMITS):
           one generator set and so one basis with J_G.
     A complete graph has no cut, so its L_0 is the unit ideal; vnumber_at_prime
     settles that prime before any builder runs.
+
+    The list is returned as built, as no two generators are equal:
+        - at the empty cut, g_{C,D} over one split of one minimal CDS B has
+          support B, so different sets or splits give different monomials;
+        - at a 2-cut, f_{i,j} * g_{C,D} gives back its union U = B1 u B2
+          (its support), the pair {i, j} (the variables where its two terms
+          differ) and the split (C, D);
+        - the sides are disjoint, so B1 = U n V1 and B2 = U n V2, and
+          connected_dominating_sets yields each set once, so no two tuples
+          (B1, B2, i, j, C, D) give one polynomial;
+        - a repeat would be harmless anyway: _buchberger drops repeats
+          from its start set.
     """
     s = frozenset(s)
     sides = two_cut_sides(g, s) if s else [g.vertices]
@@ -313,4 +320,4 @@ def packed_concise_generators(g, s, order, limits=DEFAULT_LIMITS):
         for pair in itertools.product(*map(sorted, picks)) if s else [()]:
             base = pack_poly(edge_binomial(*sorted(pair), g.n), order) if pair else {0: 1}
             gens.extend(_split_products(base, sorted(union - set(pair)), order))
-    return _distinct(gens)
+    return gens

@@ -301,16 +301,14 @@ class Polynomial:
         degs = {mono_degree(m) for m in self.terms}
         return len(degs) <= 1
 
-    def sorted_terms(self, order=None):
-        order = order or MonomialOrder(self.width // 2)
-        return sorted(self.terms.items(), key=lambda mc: order.key(mc[0]), reverse=True)
+    def sorted_terms(self):
+        """The terms, greatest first in the identity lex order, whose key is
+        the exponent tuple itself (see MonomialOrder.key)."""
+        return sorted(self.terms.items(), reverse=True)
 
-    def sort_key(self, order=None):
+    def sort_key(self):
         """Canonical key for deterministic sorting of polynomial lists."""
-        return tuple(
-            (order.key(m) if order else m, Fraction(c).numerator, Fraction(c).denominator)
-            for m, c in self.sorted_terms(order)
-        )
+        return tuple((m, c.numerator, c.denominator) for m, c in self.sorted_terms())
 
     # -- equality / hashing -------------------------------------------------
 
@@ -376,7 +374,7 @@ def sorted_generators(gens):
 # ---------------------------------------------------------------------------
 
 _FACTOR_RE = re.compile(r"^(x|y)(\d*)(?:\^(\d+))?$")
-_NUMBER_RE = re.compile(r"^\d+(?:/\d+)?$")
+_NUMBER_RE = re.compile(r"^\d+(?:/\d*[1-9]\d*)?$")  # no zero denominator
 
 
 def poly_to_text(p):

@@ -43,7 +43,6 @@ from vnum.groebner import (
 )
 from vnum.idealops import _packed, as_basis
 from vnum.matroids import (
-    _distinct,
     _split,
     _split_products,
     delta_family,
@@ -340,6 +339,11 @@ def minimal_transversals(family, limits=DEFAULT_LIMITS):
 
     search(frozenset(), 0)
     return sorted(found, key=_set_key)
+
+
+def _distinct(polys):
+    """Packed polynomials without repeats, in first-seen order."""
+    return list({frozenset(p.items()): p for p in polys}.values())
 
 
 def packed_transversal_generators(g, s, dependents, order, limits=DEFAULT_LIMITS):

@@ -79,6 +79,42 @@ def test_parse_error_exit_code(tmp_path):
     assert code == EXIT_PARSE
 
 
+def _unreadable_file(tmp_path, monkeypatch, kind):
+    """A path whose text cannot be read: a directory, bytes that are not
+    UTF-8, or a file open refuses for want of permission (with the mode
+    cleared, and open patched to refuse it too, as root may read any file)."""
+    import vnum.cli
+
+    path = tmp_path / kind
+    if kind == "directory":
+        path.mkdir()
+    elif kind == "not-utf8":
+        path.write_bytes(b"n 2\n1 2\n\xff\n")
+    else:
+        path.write_text("n 2\n1 2\n")
+        path.chmod(0)
+
+        def refuse(file, *args, **kwargs):
+            if file == str(path):
+                raise PermissionError(13, "Permission denied", file)
+            return open(file, *args, **kwargs)
+
+        monkeypatch.setattr(vnum.cli, "open", refuse, raising=False)
+    return str(path)
+
+
+@pytest.mark.parametrize("kind", ["directory", "not-utf8", "permission"])
+@pytest.mark.parametrize("command", ["compute", "gb-sigma"])
+def test_unreadable_input_file_exits_2(tmp_path, monkeypatch, capsys, c4_file, command, kind):
+    bad = _unreadable_file(tmp_path, monkeypatch, kind)
+    argv = ["compute", bad] if command == "compute" else ["gb", c4_file, "--sigma", bad]
+    code, text = run_main(argv)
+    err = capsys.readouterr().err
+    assert code == EXIT_PARSE and text == ""
+    assert err.startswith(f"error: cannot read {bad}: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
 def _patch_engine_to_explode(monkeypatch):
     # _nf_terms and _gm_update sit under every division and basis step and
     # are looked up through module globals, so this catches any engine use

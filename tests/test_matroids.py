@@ -15,10 +15,12 @@ from vnum.matroids import (
     cut_dependents,
     delta_family,
     min_transversal_weight,
+    packed_concise_generators,
 )
-from vnum.poly import edge_binomial, one_poly, poly_to_text
+from vnum.poly import MonomialOrder, edge_binomial, one_poly, poly_to_text
 from conftest import connected_graphs
 from test_cli import GRID_EDGES
+from test_transversal_route import atlas_graphs
 from reference import (
     RankTwoMatroid,
     SetFamily,
@@ -265,6 +267,22 @@ def test_concise_cut_generators_examples():
         assert p.degree() == 4
     with pytest.raises(PreconditionError):
         concise_cut_generators(cycle_graph(6), {1, 3, 5})
+
+
+def test_concise_generators_are_distinct_on_the_atlas_and_cycles():
+    """packed_concise_generators returns its list as built, and no two of
+    its generators are equal, at the empty cut and every 2-cut of every
+    connected non-complete atlas graph on at most 6 vertices and of C_5..C_9."""
+    builds = 0
+    for g in atlas_graphs(6) + [cycle_graph(n) for n in range(5, 10)]:
+        order = MonomialOrder(g.n)
+        for rec in enumerate_min_cuts(g):
+            if rec.s and rec.k != 2:
+                continue
+            gens = packed_concise_generators(g, rec.s, order)
+            assert len({frozenset(p.items()) for p in gens}) == len(gens), (sorted(g.edges), sorted(rec.s))
+            builds += 1
+    assert builds == 419 + sum(1 + n * (n - 3) // 2 for n in range(5, 10))
 
 
 def test_cut_generators_full_contains_concise():

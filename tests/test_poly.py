@@ -141,7 +141,7 @@ def test_text_examples():
     assert poly_from_text("2*x1 + x1", 2) == 3 * x_poly(1, 2)
 
 
-@pytest.mark.parametrize("bad", ["", "x0", "x5", "z1", "t", "x1^", "1//2", "x1**2"])
+@pytest.mark.parametrize("bad", ["", "x0", "x5", "z1", "t", "x1^", "1//2", "x1**2", "1/0", "2/0*x1"])
 def test_text_errors(bad):
     with pytest.raises(GraphFormatError):
         poly_from_text(bad, 4)
