@@ -291,10 +291,10 @@ class CycleReport:
     resolved_value: int | None  # which of the two candidate values was computed
 
 
-def _combined_basis_check(n, s, sigma, limits):
-    order = MonomialOrder(n, sigma)
-    path_part = list(admissible_path_basis(cycle_graph(n), sigma, limits).generators)
-    cut_part = cycle_transversal_ideal(n, s)
+def _combined_basis_check(g, s, sigma, limits):
+    order = MonomialOrder(g.n, sigma)
+    path_part = list(admissible_path_basis(g, sigma, limits).generators)
+    cut_part = cycle_transversal_ideal(g.n, s)
     return is_groebner_basis(path_part + cut_part, order, limits=limits)
 
 
@@ -320,7 +320,7 @@ def verify_cycle(n, limits=DEFAULT_LIMITS, with_oracle=False, jobs=1):
             cert = s_consistent_permutation(n, entry.s)
             if cert is not None:
                 try:
-                    ok = _combined_basis_check(n, entry.s, cert.sigma, limits.start_clock())
+                    ok = _combined_basis_check(g, entry.s, cert.sigma, limits.start_clock())
                     gb_check = "pass" if ok else "fail"
                 except ResourceLimitError:
                     gb_check = "error"

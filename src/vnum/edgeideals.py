@@ -31,7 +31,6 @@ from .graphs import (
 )
 from .groebner import (
     GroebnerBasis,
-    _buchberger,
     buchberger,
     pack_poly,
     packed_intersection,
@@ -100,69 +99,23 @@ def colon_generators(g, s):
 
 
 # ---------------------------------------------------------------------------
-# admissible-path basis
+# the basis of J_G
 # ---------------------------------------------------------------------------
 
-def _all_path_interiors(g, i, j, limits):
-    """Vertex sets of interiors of all simple i-j paths; the walk carries
-    each interior as a bit mask over the neighbour masks of g.adjacency."""
-    interiors = set()
-    adj = g.adjacency
-    ends = 1 << i | 1 << j
-
-    def walk(v, seen):
-        limits.check_time()
-        if adj[v] >> j & 1:
-            interiors.add(frozenset(u for u in g.vertices if seen >> u & 1))
-        step = adj[v] & ~seen & ~ends
-        while step:
-            low = step & -step
-            walk(low.bit_length() - 1, seen | low)
-            step ^= low
-
-    walk(i, 0)
-    return interiors
-
-
 def admissible_path_basis(g, sigma=None, limits=DEFAULT_LIMITS):
-    """Reduced lex basis of J_G from the admissible paths of the graph.
+    """The reduced lex basis of J_G under the order of sigma, the default
+    order when sigma is None: one engine run on the edge binomials, under
+    limits.
 
-    A path from i to j (with sigma(i) < sigma(j)) is admissible when its
-    interior vertices all sort below i or above j and no proper subset of
-    the interior supports an i-j path; it contributes u_pi * f_{i,j} with
-    u_pi collecting x over the high interior vertices and y over the low
-    ones.  The construction is checked to be the reduced basis of its ideal
-    before being returned; failure is a bug, not an input error.  The path
-    search and that check run under the deadline of limits.
+    Herzog, Hibi, Hreinsdottir, Kahle and Rauh (2010, Theorem 2.1) show that
+    this basis is the admissible-path basis.  A path from i to j, with
+    sigma(i) < sigma(j), is admissible when its interior vertices all sort
+    below i or above j and no proper subset of the interior supports an i-j
+    path; it contributes u_pi * f_{i,j}, u_pi collecting x over the high
+    interior vertices and y over the low ones.  tests/reference.py builds
+    the basis from the paths, and the tests pin the two against each other.
     """
-    order = MonomialOrder(g.n, sigma)
-    rank = {v: order.sigma[v - 1] for v in g.vertices}
-    gens = {}
-    for a, b in itertools.combinations(sorted(g.vertices), 2):
-        i, j = (a, b) if rank[a] < rank[b] else (b, a)
-        interiors = _all_path_interiors(g, i, j, limits)
-        for interior in interiors:
-            if any(rank[i] < rank[w] < rank[j] for w in interior):
-                continue
-            if any(other < interior for other in interiors):
-                continue
-            u = one_poly(g.n)
-            for w in sorted(interior):
-                u = u * (x_poly(w, g.n) if rank[w] > rank[j] else y_poly(w, g.n))
-            gens[(i, j, interior)] = u * edge_binomial(i, j, g.n)
-    gb = GroebnerBasis(sorted((pack_poly(p, order) for p in gens.values()), key=max), order)
-    _assert_reduced_groebner(gb, limits)
-    return gb
-
-
-def _assert_reduced_groebner(gb, limits):
-    """gb is the reduced basis of its ideal, ascending by leading monomial,
-    exactly when the engine returns it unchanged: the engine returns the
-    reduced basis of the ideal its input generates, and that basis is
-    unique for the ideal and the order."""
-    assert _buchberger(gb.packed, gb.order, limits) == gb.packed, (
-        "path basis must be a Groebner basis, minimal, monic and tail-reduced"
-    )
+    return buchberger(edge_ideal_gens(g), MonomialOrder(g.n, sigma), limits)
 
 
 # ---------------------------------------------------------------------------
@@ -198,7 +151,7 @@ def check_colon_equals_prime(g, f, s, limits=DEFAULT_LIMITS, _work=None):
         return False
     jg = None if _work is None else _work.jg
     if jg is None:
-        jg = buchberger(edge_ideal_gens(g), order, limits)
+        jg = admissible_path_basis(g, None, limits)
     return not any(
         jg.reducers.remainder(packed_product(pf, p, order), limits) for p in target.packed
     )
@@ -385,7 +338,7 @@ def vnumber_at_prime(g, s, limits=DEFAULT_LIMITS, _work=None):
         return 0, one_poly(g.n)
     order = MonomialOrder(g.n)
     if work.jg is None:
-        work.jg = buchberger(edge_ideal_gens(g), order, limits)
+        work.jg = admissible_path_basis(g, None, limits)
     quot = _transversal_colon(g, rec, work, order, limits)
     if quot is None:
         quot = _orbit_colon(g, rec, work, order, limits)

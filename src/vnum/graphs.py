@@ -80,14 +80,6 @@ class Graph:
         return len(self.edges) == k * (k - 1) // 2
 
 
-def path_graph(n):
-    return Graph.make(n, [(i, i + 1) for i in range(1, n)])
-
-
-def complete_graph(n):
-    return Graph.make(n, list(itertools.combinations(range(1, n + 1), 2)))
-
-
 def induced_subgraph(g, w):
     """Subgraph on w with original labels and exactly the edges inside w."""
     w = frozenset(w)
@@ -169,13 +161,6 @@ def _cut_test(g, s):
     return _splits(g.adjacency, s, rest, comps), comps
 
 
-def is_minimal_kcut(g, s):
-    """(flag, k): s disconnects g into k >= 2 parts and every vertex of s is
-    a cut point of the graph induced on the complement plus that vertex."""
-    ok, comps = _cut_test(g, s)
-    return ok, len(comps)
-
-
 @dataclass(frozen=True)
 class CutRecord:
     """One element of min(G): the cut, its component count and components."""
@@ -219,25 +204,14 @@ def enumerate_min_cuts(g, limits=DEFAULT_LIMITS):
     return records
 
 
-def is_connected_dominating(g, b):
-    """b induces a connected subgraph and dominates every outside vertex."""
-    b = frozenset(b)
-    if not b:
-        raise PreconditionError("connected dominating sets are nonempty")
-    if not b <= g.vertices:
-        raise PreconditionError("set contains non-vertices")
-    adj = g.adjacency
-    inside = _mask(b)
-    return len(_mask_components(adj, inside)) == 1 and all(adj[v] & inside for v in g.vertices - b)
-
-
 def connected_dominating_sets(g, within, limits=DEFAULT_LIMITS):
     """Every inclusion-minimal subset of within that connect-dominates g, by
     size and then lexicographically; within must be a set of vertices of g.
     The search checks the deadline of limits after every
     STEPS_PER_CLOCK_CHECK subsets of one size.
 
-    The same test as is_connected_dominating, cheapest part first: a subset
+    A subset connect-dominates g when it dominates every outside vertex and
+    induces a connected subgraph; the cheapest part is tested first: a subset
     dominates when the bit masks of its closed neighbourhoods cover every
     vertex, and only then is it tested against the sets already yielded and
     its bit mask searched for components.  Sets come by size, so a
@@ -421,9 +395,3 @@ def parse_graph(text):
     if n is None:
         raise GraphFormatError("missing 'n <count>' line")
     return Graph.make(n, edges)
-
-
-def format_graph(g):
-    lines = [f"n {g.n}"]
-    lines.extend(f"{u} {v}" for u, v in sorted(g.edges))
-    return "\n".join(lines) + "\n"

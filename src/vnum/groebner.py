@@ -83,10 +83,6 @@ class GroebnerBasis:
     packed: list
     order: MonomialOrder
 
-    @property
-    def contains_one(self):
-        return any(max(p) == 0 for p in self.packed)
-
     @cached_property
     def generators(self):
         """The generators as Polynomials, built on first use."""

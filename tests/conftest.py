@@ -9,8 +9,9 @@ from functools import lru_cache
 import pytest
 from hypothesis import strategies as st
 
-from vnum.graphs import Graph, complete_graph, path_graph
+from vnum.graphs import Graph
 from vnum.cycles import cycle_graph
+from reference import complete_graph, path_graph
 
 
 def graph_from_edges(n, edges):

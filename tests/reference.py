@@ -1,5 +1,9 @@
-"""Reference operations that only the tests use: tuple monomial helpers,
+"""Reference operations that only the tests use: path and complete graphs,
+the graph text writer, the minimal-cut and connected-domination tests on
+one vertex set, tuple monomial helpers,
 the monomial order's comparison and a Polynomial's leading monomial,
+the unit test on a basis, the admissible-path basis of J_G built from
+the paths of the graph and the reduced-basis check it passes,
 membership tests on Polynomials, the all-pairs Buchberger criterion and
 the initial ideal of a basis, the
 definition-level rank-two matroid of a cut, the delta family and its
@@ -21,11 +25,13 @@ from vnum.errors import (
     PreconditionError,
 )
 from vnum.graphs import (
+    Graph,
+    _cut_test,
+    _mask,
+    _mask_components,
     components_within,
     enumerate_min_cuts,
     induced_subgraph,
-    is_connected_dominating,
-    is_minimal_kcut,
     two_cut_sides,
 )
 from vnum.groebner import (
@@ -48,8 +54,58 @@ from vnum.matroids import (
     delta_family,
     packed_concise_generators,
 )
-from vnum.poly import MonomialOrder, Polynomial, edge_binomial, sorted_generators
+from vnum.poly import (
+    MonomialOrder,
+    Polynomial,
+    edge_binomial,
+    one_poly,
+    sorted_generators,
+    x_poly,
+    y_poly,
+)
 
+
+# ---------------------------------------------------------------------------
+# graphs
+# ---------------------------------------------------------------------------
+
+def path_graph(n):
+    return Graph.make(n, [(i, i + 1) for i in range(1, n)])
+
+
+def complete_graph(n):
+    return Graph.make(n, list(itertools.combinations(range(1, n + 1), 2)))
+
+
+def format_graph(g):
+    """g in the text format parse_graph reads."""
+    lines = [f"n {g.n}"]
+    lines.extend(f"{u} {v}" for u, v in sorted(g.edges))
+    return "\n".join(lines) + "\n"
+
+
+def is_minimal_kcut(g, s):
+    """(flag, k): s disconnects g into k >= 2 parts and every vertex of s is
+    a cut point of the graph induced on the complement plus that vertex."""
+    ok, comps = _cut_test(g, s)
+    return ok, len(comps)
+
+
+def is_connected_dominating(g, b):
+    """b induces a connected subgraph and dominates every outside vertex."""
+    b = frozenset(b)
+    if not b:
+        raise PreconditionError("connected dominating sets are nonempty")
+    if not b <= g.vertices:
+        raise PreconditionError("set contains non-vertices")
+    adj = g.adjacency
+    inside = _mask(b)
+    return len(_mask_components(adj, inside)) == 1 and all(adj[v] & inside for v in g.vertices - b)
+
+
+# ---------------------------------------------------------------------------
+# monomials, polynomials and bases
+# ---------------------------------------------------------------------------
 
 def mono_is_squarefree(a):
     return all(e <= 1 for e in a)
@@ -83,6 +139,11 @@ def leading_monomial(f, order):
     if f.is_zero:
         raise PreconditionError("zero polynomial has no leading monomial")
     return max(f.terms, key=order.key)
+
+
+def contains_one(gb):
+    """The reduced basis gb is that of the unit ideal."""
+    return any(max(p) == 0 for p in gb.packed)
 
 
 def ideal_membership(f, gens, order=None, limits=DEFAULT_LIMITS):
@@ -127,6 +188,75 @@ def initial_ideal(gb):
     lms = [max(p) for p in gb.packed]
     monos = [Polynomial(order.width, {order.unpack(lm): 1}) for lm in lms]
     return monos, all(packed_is_squarefree(lm, order.guard) for lm in lms)
+
+
+# ---------------------------------------------------------------------------
+# the admissible-path basis of J_G, from the paths
+# ---------------------------------------------------------------------------
+
+def _all_path_interiors(g, i, j, limits):
+    """Vertex sets of interiors of all simple i-j paths; the walk carries
+    each interior as a bit mask over the neighbour masks of g.adjacency."""
+    interiors = set()
+    adj = g.adjacency
+    ends = 1 << i | 1 << j
+
+    def walk(v, seen):
+        limits.check_time()
+        if adj[v] >> j & 1:
+            interiors.add(frozenset(u for u in g.vertices if seen >> u & 1))
+        step = adj[v] & ~seen & ~ends
+        while step:
+            low = step & -step
+            walk(low.bit_length() - 1, seen | low)
+            step ^= low
+
+    walk(i, 0)
+    return interiors
+
+
+def path_basis_by_definition(g, sigma=None, limits=DEFAULT_LIMITS):
+    """The reduced lex basis of J_G from the admissible paths of the graph
+    (Herzog, Hibi, Hreinsdottir, Kahle and Rauh, 2010, Theorem 2.1), the
+    expected side of the tests of the runtime's admissible_path_basis.
+
+    A path from i to j (with sigma(i) < sigma(j)) is admissible when its
+    interior vertices all sort below i or above j and no proper subset of
+    the interior supports an i-j path; it contributes u_pi * f_{i,j} with
+    u_pi collecting x over the high interior vertices and y over the low
+    ones.  The construction is checked to be the reduced basis of its ideal
+    before being returned.  Every simple path between every pair is listed,
+    so the search is exponential on dense graphs.  The path search and that
+    check run under the deadline of limits.
+    """
+    order = MonomialOrder(g.n, sigma)
+    rank = {v: order.sigma[v - 1] for v in g.vertices}
+    gens = {}
+    for a, b in itertools.combinations(sorted(g.vertices), 2):
+        i, j = (a, b) if rank[a] < rank[b] else (b, a)
+        interiors = _all_path_interiors(g, i, j, limits)
+        for interior in interiors:
+            if any(rank[i] < rank[w] < rank[j] for w in interior):
+                continue
+            if any(other < interior for other in interiors):
+                continue
+            u = one_poly(g.n)
+            for w in sorted(interior):
+                u = u * (x_poly(w, g.n) if rank[w] > rank[j] else y_poly(w, g.n))
+            gens[(i, j, interior)] = u * edge_binomial(i, j, g.n)
+    gb = GroebnerBasis(sorted((pack_poly(p, order) for p in gens.values()), key=max), order)
+    assert_reduced_groebner(gb, limits)
+    return gb
+
+
+def assert_reduced_groebner(gb, limits):
+    """gb is the reduced basis of its ideal, ascending by leading monomial,
+    exactly when the engine returns it unchanged: the engine returns the
+    reduced basis of the ideal its input generates, and that basis is
+    unique for the ideal and the order."""
+    assert _buchberger(gb.packed, gb.order, limits) == gb.packed, (
+        "path basis must be a Groebner basis, minimal, monic and tail-reduced"
+    )
 
 
 # ---------------------------------------------------------------------------

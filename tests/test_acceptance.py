@@ -15,6 +15,8 @@ from reference import (
     is_groebner_basis_all_pairs,
     leading_monomial,
     mono_is_squarefree,
+    path_basis_by_definition,
+    path_graph,
     radical_membership,
     transversal_ideal_generic,
 )
@@ -24,7 +26,6 @@ from vnum.graphs import (
     enumerate_min_cuts,
     gamma_c,
     gamma_c_pair,
-    path_graph,
 )
 from vnum.groebner import buchberger, is_groebner_basis, normal_form
 from vnum.idealops import (
@@ -188,15 +189,17 @@ def test_criterion_05_colon_equals_radical_of_transversal_sum(graphs_n5):
 
 
 def test_criterion_06a_path_bases_all_graphs_n6():
-    """Admissible-path bases pass the exhaustive Buchberger criterion for
-    every connected graph with n <= 6."""
+    """Admissible-path bases, built from the paths, pass the exhaustive
+    Buchberger criterion and equal the engine's basis for every connected
+    graph with n <= 6."""
     checked = 0
     for n in range(2, 7):
         for g in connected_graphs_upto_iso(n):
             if not g.edges:
                 continue
-            gb = admissible_path_basis(g)
-            assert is_groebner_basis_all_pairs(list(gb.generators), gb.order)
+            want = path_basis_by_definition(g)
+            assert is_groebner_basis_all_pairs(list(want.generators), want.order)
+            assert admissible_path_basis(g).packed == want.packed, sorted(g.edges)
             checked += 1
     report("6a", checked >= 140, f"path bases verified on {checked} connected graphs, n <= 6")
 

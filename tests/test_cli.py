@@ -217,6 +217,20 @@ def test_gb_runs_under_the_time_budget(tmp_path, monkeypatch, capsys):
     assert err.startswith("error: time budget exceeded") and "Traceback" not in err
 
 
+@pytest.mark.parametrize("name", ["VNUM_MAX_POLYS", "VNUM_MAX_DEGREE"])
+def test_gb_stops_at_the_engine_caps(tmp_path, monkeypatch, capsys, name):
+    """The reduced basis of J_{C_6} has 15 elements, up to degree 6, so a
+    cap of 2 on either stops the run: exit 4, one error line, no basis."""
+    c6 = tmp_path / "c6.txt"
+    c6.write_text("n 6\n1 2\n2 3\n3 4\n4 5\n5 6\n1 6\n")
+    monkeypatch.setenv(name, "2")
+    code, text = run_main(["gb", str(c6)])
+    assert code == EXIT_RESOURCE
+    assert text == ""
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("error: ") and "Traceback" not in err
+
+
 GRID_EDGES = [(i, i + 1) for i in range(1, 19) if i % 6] + [(i, i + 6) for i in range(1, 13)]
 GRID_CUT = frozenset({2, 5, 8, 11, 15, 16})
 

@@ -1,8 +1,9 @@
 """Byte-stability: reports must equal the golden files in tests/data.
 
 Each golden file is a report of a fixed set of graphs: the JSON report
-(`report_document`, with the timing field `millis` removed), or, for
-cycle6_table.txt, the `vnum cycle 6` table, which prints no timings.
+(`report_document`, with the timing field `millis` removed); for
+cycle6_table.txt, the `vnum cycle 6` table, which prints no timings; and
+for gb.txt, the `vnum gb` output of each graph of GB_CASES.
 Regenerate them, after a change that is meant to alter reports, with
 
     PYTHONPATH=src:tests python tests/test_golden.py --write
@@ -13,14 +14,17 @@ from __future__ import annotations
 import io
 import json
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
 
 from conftest import connected_graphs_upto_iso
 from vnum.cli import main, render_json, report_document
-from vnum.cycles import cycle_graph
+from vnum.cycles import cycle_graph, s_consistent_permutation
 from vnum.edgeideals import vnumber
+from vnum.graphs import Graph
+from reference import complete_graph, format_graph
 
 DATA = Path(__file__).parent / "data"
 
@@ -63,11 +67,44 @@ def _bounds6():
     )
 
 
+GB_CASES = [
+    ("C_6", cycle_graph(6), None),
+    ("C_6", cycle_graph(6), s_consistent_permutation(6, {1, 3, 5}).sigma),
+    ("C_9", cycle_graph(9), None),
+    ("K_5", complete_graph(5), None),
+    ("3x3 grid", Graph.make(9, [(i, i + 1) for i in range(1, 9) if i % 3]
+                            + [(i, i + 3) for i in range(1, 7)]), None),
+    ("K_1,4", Graph.make(5, [(1, 2), (1, 3), (1, 4), (1, 5)]), None),
+    ("two-edge matching", Graph.make(4, [(1, 2), (3, 4)]), None),
+]
+
+
+def _gb():
+    """For each of GB_CASES, a `# <name>` line, with ` sigma <images>` when
+    it has a sigma (passed by --sigma), and then what `vnum gb` prints for
+    it: the reduced basis of J_G, one line each."""
+    chunks = []
+    with tempfile.TemporaryDirectory() as tmp:
+        graph_file, sigma_file = Path(tmp) / "graph.txt", Path(tmp) / "sigma.txt"
+        for name, g, sigma in GB_CASES:
+            graph_file.write_text(format_graph(g), encoding="utf-8")
+            argv = ["gb", str(graph_file)]
+            if sigma is not None:
+                name += " sigma " + " ".join(map(str, sigma))
+                sigma_file.write_text(" ".join(map(str, sigma)) + "\n", encoding="utf-8")
+                argv += ["--sigma", str(sigma_file)]
+            out = io.StringIO()
+            assert main(argv, out=out) == 0
+            chunks.append(f"# {name}\n{out.getvalue()}")
+    return "".join(chunks)
+
+
 GOLDEN = {
     "bounds6.jsonl": _bounds6,
     "corpus5_oracle.json": _corpus5,
     "cycle6.json": _cycle6,
     "cycle6_table.txt": _cycle6_table,
+    "gb.txt": _gb,
 }
 
 

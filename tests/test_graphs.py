@@ -17,22 +17,24 @@ from vnum.errors import GraphFormatError, PreconditionError
 from vnum.graphs import (
     CutRecord,
     Graph,
-    complete_graph,
     components_within,
     connected_components,
     connected_dominating_sets,
     enumerate_min_cuts,
-    format_graph,
     gamma_c,
     gamma_c_pair,
     induced_subgraph,
-    is_connected_dominating,
-    is_minimal_kcut,
     parse_graph,
-    path_graph,
     two_cut_sides,
 )
 from vnum.cycles import cycle_graph
+from reference import (
+    complete_graph,
+    format_graph,
+    is_connected_dominating,
+    is_minimal_kcut,
+    path_graph,
+)
 
 
 def to_nx(g):

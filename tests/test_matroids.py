@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from vnum.errors import NoTransversalError, PreconditionError
-from vnum.graphs import Graph, complete_graph, enumerate_min_cuts, path_graph
+from vnum.graphs import Graph, enumerate_min_cuts
 from vnum.cycles import cycle_graph
 from vnum.matroids import (
     TransversalFamily,
@@ -26,11 +26,14 @@ from reference import (
     SetFamily,
     concise_cut_generators,
     cut_dependent_sets,
+    complete_graph,
     cut_generators_full,
     delta_family_sets,
+    is_connected_dominating,
     matroid_of_cut,
     min_transversal_weight_sets,
     minimal_transversals,
+    path_graph,
     small_dependent_diff,
     transversal_ideal_generic,
 )
@@ -319,7 +322,7 @@ def test_transversal_characterization_for_2cuts(small_connected_graphs):
     """For a minimal 2-cut, the transversals are exactly the collections
     whose support traces connect-dominate each side-plus-cut graph and that
     contain at least one pair; checked by full enumeration."""
-    from vnum.graphs import induced_subgraph, is_connected_dominating
+    from vnum.graphs import induced_subgraph
 
     checked = 0
     for g in small_connected_graphs:
@@ -375,7 +378,6 @@ def test_empty_cut_min_weight_is_domination_number(small_connected_graphs):
 def test_empty_cut_singleton_transversals_are_dominating_sets(small_connected_graphs):
     """Transversals of the empty-cut family consisting of singletons only
     correspond to connected dominating sets."""
-    from vnum.graphs import is_connected_dominating
 
     for g in small_connected_graphs:
         if len(g.vertices) < 2 or g.is_complete():
